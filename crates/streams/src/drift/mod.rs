@@ -170,19 +170,36 @@ impl ConceptSequenceStream {
     pub fn schedule(&self) -> &DriftSchedule {
         &self.schedule
     }
-}
 
-impl DataStream for ConceptSequenceStream {
-    fn next_instance(&mut self) -> Option<Instance> {
+    /// The concept the next instance comes from (draws `α` in a
+    /// transition window).
+    fn next_source(&mut self) -> usize {
         let (active, alpha) = self.schedule.concept_at(self.counter);
         let active = active.min(self.concepts.len() - 1);
         let use_next =
             alpha > 0.0 && active + 1 < self.concepts.len() && self.rng.gen::<f64>() < alpha;
-        let source = if use_next { active + 1 } else { active };
+        active + usize::from(use_next)
+    }
+}
+
+impl DataStream for ConceptSequenceStream {
+    fn next_instance(&mut self) -> Option<Instance> {
+        let source = self.next_source();
         let mut inst = self.concepts[source].next_instance()?;
         inst.index = self.counter;
         self.counter += 1;
         Some(inst)
+    }
+
+    fn next_of_class(&mut self, target: usize) -> Option<Option<Instance>> {
+        let source = self.next_source();
+        let kept = self.concepts[source].next_of_class(target)?;
+        let index = self.counter;
+        self.counter += 1;
+        Some(kept.map(|mut inst| {
+            inst.index = index;
+            inst
+        }))
     }
 
     fn schema(&self) -> &StreamSchema {

@@ -5,7 +5,9 @@
 //! Gaussian clusters whose means/covariance scales are drawn at
 //! construction. The generator supports:
 //!
-//! * class-conditional sampling (needed for exact imbalance control),
+//! * class-conditional sampling, and a discard path
+//!   ([`DataStream::next_of_class`]) that skips building the candidates the
+//!   imbalance wrapper rejects,
 //! * per-class concept changes (shifting or redrawing a class's clusters —
 //!   i.e. local real drift),
 //! * global concept changes (redrawing all clusters).
@@ -68,26 +70,34 @@ impl GaussianMixtureGenerator {
         GaussianClass { means, spreads }
     }
 
-    /// Generates one instance of the requested class.
+    /// Generates one instance of the requested class (class-conditional
+    /// sampling): picks one of the class's clusters and draws a spherical
+    /// Gaussian around its mean.
     pub fn generate_for_class(&mut self, class: usize) -> Instance {
         assert!(class < self.schema.num_classes, "class {class} out of range");
+        self.draw(class, true).expect("a kept draw builds an instance")
+    }
+
+    /// Consumes the random draws of one instance of `class`; builds the
+    /// instance only when `keep` is set, so a discarded draw skips the
+    /// Box–Muller transforms and the allocation but leaves the generator
+    /// exactly where a kept one would.
+    fn draw(&mut self, class: usize, keep: bool) -> Option<Instance> {
         let cluster = self.rng.gen_range(0..self.clusters_per_class);
-        let (mean, spread) = {
-            let c = &self.classes[class];
-            (c.means[cluster].clone(), c.spreads[cluster])
-        };
-        let features: Vec<f64> = mean
-            .iter()
-            .map(|&m| {
-                let u1: f64 = self.rng.gen_range(f64::MIN_POSITIVE..1.0);
-                let u2: f64 = self.rng.gen::<f64>();
+        let (mean, spread) =
+            (&self.classes[class].means[cluster], self.classes[class].spreads[cluster]);
+        let mut features = Vec::with_capacity(if keep { mean.len() } else { 0 });
+        for &m in mean {
+            let u1: f64 = self.rng.gen_range(f64::MIN_POSITIVE..1.0);
+            let u2: f64 = self.rng.gen::<f64>();
+            if keep {
                 let z = (-2.0 * u1.ln()).sqrt() * (2.0 * std::f64::consts::PI * u2).cos();
-                m + z * spread
-            })
-            .collect();
-        let inst = Instance::with_index(features, class, self.counter);
+                features.push(m + z * spread);
+            }
+        }
+        let index = self.counter;
         self.counter += 1;
-        inst
+        keep.then(|| Instance::with_index(features, class, index))
     }
 
     /// Shifts every cluster mean of the listed classes by a random offset of
@@ -131,7 +141,12 @@ impl GaussianMixtureGenerator {
 impl DataStream for GaussianMixtureGenerator {
     fn next_instance(&mut self) -> Option<Instance> {
         let class = self.rng.gen_range(0..self.schema.num_classes);
-        Some(self.generate_for_class(class))
+        self.draw(class, true)
+    }
+
+    fn next_of_class(&mut self, target: usize) -> Option<Option<Instance>> {
+        let class = self.rng.gen_range(0..self.schema.num_classes);
+        Some(self.draw(class, class == target))
     }
 
     fn schema(&self) -> &StreamSchema {

@@ -3,8 +3,10 @@
 //! Instances are drawn from per-class sets of radial basis (Gaussian)
 //! centroids scattered in the unit hypercube — the MOA `RandomRBFGenerator`.
 //! Because every centroid is owned by a class, this generator supports
-//! *class-conditional* generation natively, which the local-drift and
-//! imbalance operators exploit:
+//! *class-conditional* generation ([`RandomRbfGenerator::generate_for_class`]).
+//! It draws the class before anything else, so the imbalance wrapper's
+//! discard path ([`DataStream::next_of_class`]) skips building candidates of
+//! other classes. It models two kinds of drift:
 //!
 //! * **global drift**: all centroids move with a constant speed along random
 //!   directions (`RandomRBFGeneratorDrift` behaviour) — an incremental real
@@ -106,29 +108,34 @@ impl RandomRbfGenerator {
     }
 
     /// Generates one instance of the requested class (class-conditional
-    /// sampling). Used by the imbalance wrapper to impose arbitrary class
-    /// distributions without rejection sampling.
+    /// sampling): picks one of the class's centroids and draws a spherical
+    /// Gaussian around it.
     pub fn generate_for_class(&mut self, class: usize) -> Instance {
         assert!(class < self.schema.num_classes, "class {class} out of range");
+        self.draw(class, true).expect("a kept draw builds an instance")
+    }
+
+    /// Consumes the random draws of one instance of `class` and advances
+    /// the concept; builds the instance only when `keep` is set, so a
+    /// discarded draw skips the Box–Muller transforms and the allocation
+    /// but leaves the generator exactly where a kept one would.
+    fn draw(&mut self, class: usize, keep: bool) -> Option<Instance> {
         let idx = self.rng.gen_range(0..self.centroids_per_class);
-        let (center, spread) = {
-            let c = &self.centroids[class][idx];
-            (c.center.clone(), c.spread)
-        };
-        let features: Vec<f64> = center
-            .iter()
-            .map(|&m| {
-                // Box–Muller standard normal.
-                let u1: f64 = self.rng.gen_range(f64::MIN_POSITIVE..1.0);
-                let u2: f64 = self.rng.gen::<f64>();
+        let centroid = &self.centroids[class][idx];
+        let mut features = Vec::with_capacity(if keep { centroid.center.len() } else { 0 });
+        for &m in &centroid.center {
+            // Box–Muller standard normal.
+            let u1: f64 = self.rng.gen_range(f64::MIN_POSITIVE..1.0);
+            let u2: f64 = self.rng.gen::<f64>();
+            if keep {
                 let z = (-2.0 * u1.ln()).sqrt() * (2.0 * std::f64::consts::PI * u2).cos();
-                m + z * spread
-            })
-            .collect();
+                features.push(m + z * centroid.spread);
+            }
+        }
         self.advance_centroids();
-        let inst = Instance::with_index(features, class, self.counter);
+        let index = self.counter;
         self.counter += 1;
-        inst
+        keep.then(|| Instance::with_index(features, class, index))
     }
 
     fn advance_centroids(&mut self) {
@@ -161,7 +168,12 @@ impl RandomRbfGenerator {
 impl DataStream for RandomRbfGenerator {
     fn next_instance(&mut self) -> Option<Instance> {
         let class = self.rng.gen_range(0..self.schema.num_classes);
-        Some(self.generate_for_class(class))
+        self.draw(class, true)
+    }
+
+    fn next_of_class(&mut self, target: usize) -> Option<Option<Instance>> {
+        let class = self.rng.gen_range(0..self.schema.num_classes);
+        Some(self.draw(class, class == target))
     }
 
     fn schema(&self) -> &StreamSchema {

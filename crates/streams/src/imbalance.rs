@@ -10,11 +10,21 @@
 //!
 //! [`ImbalanceProfile`] describes the target class distribution as a
 //! function of the stream position; [`ImbalancedStream`] imposes it on any
-//! base stream by class-targeted rejection sampling (the wrapper first draws
+//! base stream by class-targeted rejection sampling: the wrapper first draws
 //! the desired class from the target distribution, then pulls instances
-//! from the base stream until one of that class appears — base generators
+//! from the base stream until one of that class appears. Base generators
 //! are roughly balanced, so the expected number of pulls is the class
-//! count).
+//! count.
+//!
+//! The pulls go through the discard path [`DataStream::next_of_class`],
+//! which leaves the base stream exactly where `next_instance` would. For
+//! the generators that draw the class first (RandomRBF, Gaussian mixture,
+//! also behind a [`ConceptSequenceStream`](crate::drift::ConceptSequenceStream)
+//! or a box), a rejected candidate costs only its random draws (class,
+//! centroid or cluster, and `2·F` uniforms for `F` features) and the
+//! concept's bookkeeping (counters, RBF centroid movement), not the
+//! Box–Muller transforms and feature allocation of a built instance. Other
+//! base streams build each candidate and the wrapper drops it.
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -66,20 +76,30 @@ impl ImbalanceProfile {
 
     /// The (unnormalized) class weights at stream position `t`.
     pub fn weights_at(&self, t: u64) -> Vec<f64> {
+        let mut w = Vec::new();
+        self.weights_into(t, &mut w);
+        w
+    }
+
+    /// Writes the class weights at position `t` into `out`, reusing its
+    /// allocation.
+    fn weights_into(&self, t: u64, out: &mut Vec<f64>) {
+        out.clear();
         match self {
-            ImbalanceProfile::Static(w) => w.clone(),
+            ImbalanceProfile::Static(w) => out.extend_from_slice(w),
             ImbalanceProfile::LinearShift { start, end, period } => {
                 let alpha = if *period == 0 { 1.0 } else { (t as f64 / *period as f64).min(1.0) };
-                start.iter().zip(end.iter()).map(|(s, e)| s * (1.0 - alpha) + e * alpha).collect()
+                out.extend(
+                    start.iter().zip(end.iter()).map(|(s, e)| s * (1.0 - alpha) + e * alpha),
+                );
             }
             ImbalanceProfile::RoleSwitching { weights, interval } => {
                 let shift =
                     if *interval == 0 { 0 } else { (t / interval) as usize % weights.len() };
-                let mut rotated = vec![0.0; weights.len()];
+                out.resize(weights.len(), 0.0);
                 for (i, &w) in weights.iter().enumerate() {
-                    rotated[(i + shift) % weights.len()] = w;
+                    out[(i + shift) % weights.len()] = w;
                 }
-                rotated
             }
         }
     }
@@ -126,6 +146,8 @@ pub struct ImbalancedStream<S> {
     /// Upper bound on base-stream pulls per emitted instance, to guard
     /// against pathological base streams that never produce some class.
     max_rejections: usize,
+    /// Class weights at the current position, reused across instances.
+    weights: Vec<f64>,
 }
 
 impl<S: DataStream> ImbalancedStream<S> {
@@ -151,6 +173,7 @@ impl<S: DataStream> ImbalancedStream<S> {
             rng: StdRng::seed_from_u64(seed),
             counter: 0,
             max_rejections: 10_000,
+            weights: Vec::new(),
         }
     }
 
@@ -159,17 +182,22 @@ impl<S: DataStream> ImbalancedStream<S> {
         &self.profile
     }
 
+    /// Draws the target class by inverse CDF over the normalized weights
+    /// (the same arithmetic as [`ImbalanceProfile::probabilities_at`],
+    /// without its allocations).
     fn sample_target_class(&mut self) -> usize {
-        let probs = self.profile.probabilities_at(self.counter);
+        self.profile.weights_into(self.counter, &mut self.weights);
+        let total: f64 = self.weights.iter().sum();
+        assert!(total > 0.0, "class weights must sum to a positive value");
         let u: f64 = self.rng.gen();
         let mut acc = 0.0;
-        for (c, p) in probs.iter().enumerate() {
-            acc += p;
+        for (c, w) in self.weights.iter().enumerate() {
+            acc += w / total;
             if u <= acc {
                 return c;
             }
         }
-        probs.len() - 1
+        self.weights.len() - 1
     }
 }
 
@@ -177,9 +205,7 @@ impl<S: DataStream> DataStream for ImbalancedStream<S> {
     fn next_instance(&mut self) -> Option<Instance> {
         let target = self.sample_target_class();
         for _ in 0..self.max_rejections {
-            let candidate = self.inner.next_instance()?;
-            if candidate.class == target {
-                let mut inst = candidate;
+            if let Some(mut inst) = self.inner.next_of_class(target)? {
                 inst.index = self.counter;
                 self.counter += 1;
                 return Some(inst);

@@ -14,6 +14,22 @@ pub trait DataStream {
     /// (synthetic generators never exhaust; bounded wrappers do).
     fn next_instance(&mut self) -> Option<Instance>;
 
+    /// Pulls the next instance but keeps it only if it is of class
+    /// `target`: `None` if the stream is exhausted, `Some(None)` if an
+    /// instance of another class was pulled and discarded, `Some(Some(_))`
+    /// if it was kept.
+    ///
+    /// Contract: the call leaves the stream in exactly the state
+    /// [`next_instance`](Self::next_instance) would (same random draws,
+    /// same counters), and a kept instance equals what `next_instance`
+    /// would have returned. The default pulls and then filters; generators
+    /// that draw the class first override it to skip building a candidate
+    /// they would discard.
+    fn next_of_class(&mut self, target: usize) -> Option<Option<Instance>> {
+        let inst = self.next_instance()?;
+        Some((inst.class == target).then_some(inst))
+    }
+
     /// Static schema of the stream.
     fn schema(&self) -> &StreamSchema;
 
@@ -171,6 +187,10 @@ impl<S: DataStream> DataStream for BoundedStream<S> {
 impl<'s> DataStream for Box<dyn DataStream + Send + 's> {
     fn next_instance(&mut self) -> Option<Instance> {
         (**self).next_instance()
+    }
+
+    fn next_of_class(&mut self, target: usize) -> Option<Option<Instance>> {
+        (**self).next_of_class(target)
     }
 
     fn schema(&self) -> &StreamSchema {
