@@ -242,14 +242,15 @@ impl<C: OnlineClassifier> PipelineStepper<C> {
         on_event: &mut dyn FnMut(&PipelineEvent<'_>),
     ) -> (RunResult, Box<dyn DriftDetector + Send>) {
         self.flush(on_event);
-        let snapshot = self.evaluator.snapshot();
+        let window = self.evaluator.window_confusion();
+        let (accuracy, kappa) = (window.accuracy(), window.kappa());
         let result = RunResult {
             detector: self.detector_label,
             stream: stream_label.into(),
             pm_auc: self.evaluator.average_pm_auc() * 100.0,
             pm_gmean: self.evaluator.average_pm_gmean() * 100.0,
-            accuracy: snapshot.accuracy * 100.0,
-            kappa: snapshot.kappa,
+            accuracy: accuracy * 100.0,
+            kappa,
             instances: self.processed,
             detections: self.detections,
             detector_update_seconds: self.detector_update_seconds,

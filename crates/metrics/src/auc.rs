@@ -10,16 +10,48 @@
 //! The window makes the metric *prequential* (it follows the current state
 //! of the stream) and the pairwise averaging makes it insensitive to class
 //! imbalance — the property the paper's evaluation depends on.
-
-use std::collections::VecDeque;
+//!
+//! # One sort per class
+//!
+//! `A(i | j)` is the Mann–Whitney statistic of the class-`i` scores of the
+//! class-`i` and class-`j` instances: rank those `n_i + n_j` values (tied
+//! values share their mean rank), sum the ranks of the class-`i` ones and
+//! subtract `n_i (n_i + 1) / 2`. Computed pair by pair this costs
+//! `Z(Z − 1)` filters and sorts of the window for `Z` classes.
+//!
+//! [`WindowedMultiClassAuc::auc`] instead sorts the whole window once per
+//! class `i` present, by class-`i` score, and walks its tie groups (runs of
+//! equal scores) in ascending order. Restricted to classes `{i, j}`, each
+//! group is exactly one tie group of the pairwise ranking, starting at
+//! position `pos = seen_i + seen_j` (the class-`i` and class-`j` items in
+//! earlier groups) with size `g = in_group_i + in_group_j`. So one pass adds
+//! the midrank `(2·pos + g − 1) / 2 + 1` once per class-`i` item of the
+//! group to the rank sum of every pair `(i, j)` at the same time.
+//!
+//! The result is bit-identical to the pairwise computation. Each rank sum
+//! receives the same `f64` addends in the same order (groups ascending; the
+//! midrank is computed from the same integer), the pairs are averaged in the
+//! same `i`, `j` order, and the order *inside* a tie group cannot matter, so
+//! an unstable sort suffices. Sorting is on the IEEE total-order bits of
+//! the score with `-0.0` folded onto `0.0`, which orders and ties exactly
+//! as `f64` comparison does; a NaN score panics whenever the pairwise form
+//! would have had to compare it.
+//!
+//! The window itself is a flat ring buffer (`Z` scores plus one class per
+//! slot), so recording an instance into a full window allocates nothing.
 
 /// Sliding-window multi-class AUC estimator.
 #[derive(Debug, Clone)]
 pub struct WindowedMultiClassAuc {
     num_classes: usize,
     capacity: usize,
-    /// Window of (per-class scores, true class).
-    window: VecDeque<(Vec<f64>, usize)>,
+    /// Per-class scores of each window slot, `num_classes` per slot. Grows
+    /// to `capacity` slots, then acts as a ring buffer.
+    scores: Vec<f64>,
+    /// True class of each window slot.
+    classes: Vec<u32>,
+    /// Slot of the oldest entry (0 until the window is full).
+    head: usize,
 }
 
 impl WindowedMultiClassAuc {
@@ -30,8 +62,15 @@ impl WindowedMultiClassAuc {
     /// Panics if `num_classes < 2` or `capacity == 0`.
     pub fn new(num_classes: usize, capacity: usize) -> Self {
         assert!(num_classes >= 2, "need at least two classes");
+        assert!(u32::try_from(num_classes).is_ok(), "too many classes");
         assert!(capacity > 0, "window capacity must be > 0");
-        WindowedMultiClassAuc { num_classes, capacity, window: VecDeque::with_capacity(capacity) }
+        WindowedMultiClassAuc {
+            num_classes,
+            capacity,
+            scores: Vec::new(),
+            classes: Vec::new(),
+            head: 0,
+        }
     }
 
     /// Adds one prediction (per-class scores and the true class).
@@ -42,101 +81,122 @@ impl WindowedMultiClassAuc {
     pub fn record(&mut self, scores: &[f64], true_class: usize) {
         assert_eq!(scores.len(), self.num_classes, "score vector length mismatch");
         assert!(true_class < self.num_classes, "true class out of range");
-        if self.window.len() == self.capacity {
-            self.window.pop_front();
+        let z = self.num_classes;
+        if self.classes.len() < self.capacity {
+            reserve_capped(&mut self.classes, 1, self.capacity);
+            reserve_capped(&mut self.scores, z, self.capacity * z);
+            self.classes.push(true_class as u32);
+            self.scores.extend_from_slice(scores);
+        } else {
+            let slot = self.head;
+            self.classes[slot] = true_class as u32;
+            self.scores[slot * z..(slot + 1) * z].copy_from_slice(scores);
+            self.head = if slot + 1 == self.capacity { 0 } else { slot + 1 };
         }
-        self.window.push_back((scores.to_vec(), true_class));
     }
 
     /// Number of predictions currently in the window.
     pub fn len(&self) -> usize {
-        self.window.len()
+        self.classes.len()
     }
 
     /// Whether the window is empty.
     pub fn is_empty(&self) -> bool {
-        self.window.is_empty()
-    }
-
-    /// Pairwise AUC `A(i | j)`: probability that class-`i` instances score
-    /// higher on class `i` than class-`j` instances do. Returns `None` if
-    /// either class is absent from the window.
-    fn pairwise_auc(&self, class_i: usize, class_j: usize) -> Option<f64> {
-        let scores_i: Vec<f64> =
-            self.window.iter().filter(|(_, c)| *c == class_i).map(|(s, _)| s[class_i]).collect();
-        let scores_j: Vec<f64> =
-            self.window.iter().filter(|(_, c)| *c == class_j).map(|(s, _)| s[class_i]).collect();
-        if scores_i.is_empty() || scores_j.is_empty() {
-            return None;
-        }
-        // Rank-based computation: O((n+m) log(n+m)) via sorting.
-        let mut combined: Vec<(f64, bool)> = scores_i
-            .iter()
-            .map(|&s| (s, true))
-            .chain(scores_j.iter().map(|&s| (s, false)))
-            .collect();
-        combined.sort_by(|a, b| a.0.partial_cmp(&b.0).expect("scores must not be NaN"));
-        // Sum of ranks of class-i instances with midrank tie handling.
-        let mut rank_sum_i = 0.0;
-        let mut idx = 0usize;
-        let n = combined.len();
-        while idx < n {
-            let mut j = idx;
-            while j + 1 < n && combined[j + 1].0 == combined[idx].0 {
-                j += 1;
-            }
-            let avg_rank = (idx + j) as f64 / 2.0 + 1.0;
-            for item in &combined[idx..=j] {
-                if item.1 {
-                    rank_sum_i += avg_rank;
-                }
-            }
-            idx = j + 1;
-        }
-        let n_i = scores_i.len() as f64;
-        let n_j = scores_j.len() as f64;
-        let u = rank_sum_i - n_i * (n_i + 1.0) / 2.0;
-        Some(u / (n_i * n_j))
+        self.classes.is_empty()
     }
 
     /// The multi-class AUC over the current window: the mean of
     /// `A(i | j)` over all ordered pairs of classes present in the window.
     /// Returns 0.5 (chance level) if fewer than two classes are present.
+    ///
+    /// # Panics
+    /// Panics if two or more classes are present and a window score of a
+    /// present class is NaN.
     pub fn auc(&self) -> f64 {
+        let z = self.num_classes;
+        let mut support = vec![0usize; z];
+        for &c in &self.classes {
+            support[c as usize] += 1;
+        }
+        let present: Vec<usize> = (0..z).filter(|&c| support[c] > 0).collect();
+        if present.len() < 2 {
+            return 0.5;
+        }
+        let mut keys: Vec<(u64, u32)> = Vec::with_capacity(self.classes.len());
+        let mut rank_sums = vec![0.0f64; z];
+        let mut seen = vec![0usize; z];
+        let mut in_group = vec![0usize; z];
         let mut sum = 0.0;
         let mut count = 0usize;
-        for i in 0..self.num_classes {
-            for j in 0..self.num_classes {
-                if i == j {
-                    continue;
+        for &i in &present {
+            keys.clear();
+            keys.extend(
+                self.classes
+                    .iter()
+                    .zip(self.scores.chunks_exact(z))
+                    .map(|(&c, s)| (order_key(s[i]), c)),
+            );
+            keys.sort_unstable_by_key(|&(key, _)| key);
+            rank_sums.fill(0.0);
+            seen.fill(0);
+            for group in keys.chunk_by(|a, b| a.0 == b.0) {
+                for &(_, c) in group {
+                    in_group[c as usize] += 1;
                 }
-                if let Some(a) = self.pairwise_auc(i, j) {
-                    sum += a;
-                    count += 1;
+                let g_i = in_group[i];
+                if g_i > 0 {
+                    for &j in present.iter().filter(|&&j| j != i) {
+                        let pos = seen[i] + seen[j];
+                        let g = g_i + in_group[j];
+                        let avg_rank = (pos + pos + g - 1) as f64 / 2.0 + 1.0;
+                        // Added once per item, not multiplied, so the rank
+                        // sum rounds exactly as the pairwise form's does.
+                        for _ in 0..g_i {
+                            rank_sums[j] += avg_rank;
+                        }
+                    }
+                }
+                for &(_, c) in group {
+                    seen[c as usize] += in_group[c as usize];
+                    in_group[c as usize] = 0;
                 }
             }
+            let n_i = support[i] as f64;
+            for &j in present.iter().filter(|&&j| j != i) {
+                let n_j = support[j] as f64;
+                let u = rank_sums[j] - n_i * (n_i + 1.0) / 2.0;
+                sum += u / (n_i * n_j);
+                count += 1;
+            }
         }
-        if count == 0 {
-            0.5
-        } else {
-            sum / count as f64
-        }
+        sum / count as f64
     }
 
     /// Clears the window.
     pub fn reset(&mut self) {
-        self.window.clear();
+        self.scores.clear();
+        self.classes.clear();
+        self.head = 0;
     }
 
     /// Captures the window contents as a serde value (checkpoint support);
     /// restored with [`WindowedMultiClassAuc::restore_state`] onto an
-    /// estimator of the same shape.
+    /// estimator of the same shape. The `window` field lists the
+    /// `[scores, class]` pairs oldest first.
     pub fn snapshot_state(&self) -> serde::Value {
         use serde::Serialize;
+        let z = self.num_classes;
+        let oldest_first = (self.head..self.classes.len()).chain(0..self.head);
+        let window = oldest_first
+            .map(|slot| {
+                (&self.scores[slot * z..(slot + 1) * z], self.classes[slot] as usize)
+                    .serialize_value()
+            })
+            .collect();
         serde::Value::object(vec![
             ("num_classes", self.num_classes.serialize_value()),
             ("capacity", self.capacity.serialize_value()),
-            ("window", self.window.serialize_value()),
+            ("window", serde::Value::Array(window)),
         ])
     }
 
@@ -151,8 +211,53 @@ impl WindowedMultiClassAuc {
                 self.num_classes, self.capacity
             )));
         }
-        self.window = state.field("window")?;
+        let window: Vec<(Vec<f64>, usize)> = state.field("window")?;
+        if window.len() > capacity {
+            return Err(serde::Error::msg(format!(
+                "auc window holds {} entries, capacity is {capacity}",
+                window.len()
+            )));
+        }
+        if let Some((scores, class)) =
+            window.iter().find(|(s, c)| s.len() != num_classes || *c >= num_classes)
+        {
+            return Err(serde::Error::msg(format!(
+                "auc window entry has {} scores and class {class}, estimator has {num_classes} \
+                 classes",
+                scores.len()
+            )));
+        }
+        self.classes = window.iter().map(|&(_, c)| c as u32).collect();
+        self.scores = Vec::with_capacity(window.len() * num_classes);
+        for (scores, _) in &window {
+            self.scores.extend_from_slice(scores);
+        }
+        self.head = 0;
         Ok(())
+    }
+}
+
+/// Reserves room for `extra` more items, growing geometrically like
+/// `Vec::push` but never beyond `limit` items in total.
+fn reserve_capped<T>(v: &mut Vec<T>, extra: usize, limit: usize) {
+    if v.capacity() - v.len() < extra {
+        v.reserve_exact(v.len().max(extra).min(limit - v.len()));
+    }
+}
+
+/// Sort key whose integer order and equality match `f64` comparison of
+/// non-NaN scores: the IEEE total-order bits, with `-0.0` folded onto
+/// `0.0` so the two tie as they do under `==`.
+///
+/// # Panics
+/// Panics on NaN.
+fn order_key(score: f64) -> u64 {
+    assert!(!score.is_nan(), "scores must not be NaN");
+    let bits = if score == 0.0 { 0.0f64 } else { score }.to_bits();
+    if bits >> 63 == 1 {
+        !bits
+    } else {
+        bits | 1 << 63
     }
 }
 
@@ -266,6 +371,47 @@ mod tests {
         auc.reset();
         assert!(auc.is_empty());
         assert_eq!(auc.auc(), 0.5);
+    }
+
+    #[test]
+    fn signed_zeros_tie() {
+        let mut auc = WindowedMultiClassAuc::new(2, 10);
+        auc.record(&[0.5, 0.0], 0);
+        auc.record(&[0.5, -0.0], 1);
+        assert_eq!(auc.auc(), 0.5);
+    }
+
+    #[test]
+    #[should_panic(expected = "scores must not be NaN")]
+    fn nan_score_of_a_present_class_panics() {
+        let mut auc = WindowedMultiClassAuc::new(3, 10);
+        auc.record(&[0.2, f64::NAN, 0.1], 0);
+        auc.record(&[0.2, 0.7, 0.1], 1);
+        auc.auc();
+    }
+
+    #[test]
+    fn nan_score_of_an_absent_class_is_never_compared() {
+        let mut auc = WindowedMultiClassAuc::new(3, 10);
+        auc.record(&[0.8, 0.2, f64::NAN], 0);
+        auc.record(&[0.3, 0.7, f64::NAN], 1);
+        assert_eq!(auc.auc(), 1.0);
+    }
+
+    #[test]
+    fn restore_rejects_malformed_windows() {
+        let mut auc = WindowedMultiClassAuc::new(2, 2);
+        let bad = |window: &str| {
+            serde_json::parse_value(&format!(
+                r#"{{"num_classes":2,"capacity":2,"window":{window}}}"#
+            ))
+            .unwrap()
+        };
+        assert!(auc.restore_state(&bad("[[[0.1,0.9],1]]")).is_ok());
+        assert!(auc.restore_state(&bad("[[[0.1],1]]")).is_err());
+        assert!(auc.restore_state(&bad("[[[0.1,0.9],2]]")).is_err());
+        assert!(auc.restore_state(&bad("[[[0.1,0.9],1],[[0.1,0.9],1],[[0.1,0.9],1]]")).is_err());
+        assert_eq!(auc.len(), 1);
     }
 
     #[test]

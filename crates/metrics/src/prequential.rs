@@ -99,6 +99,12 @@ impl PrequentialEvaluator {
         }
     }
 
+    /// The confusion matrix of the current window: windowed accuracy and
+    /// kappa without the cost of a pmAUC.
+    pub fn window_confusion(&self) -> &StreamingConfusionMatrix {
+        &self.window_confusion
+    }
+
     /// All periodic snapshots collected so far (one per full window).
     pub fn snapshots(&self) -> &[PrequentialSnapshot] {
         &self.snapshots
