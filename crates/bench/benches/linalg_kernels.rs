@@ -1,22 +1,16 @@
 //! `linalg_kernels`: kernel-level microbenchmark of the CD-k hot loops in
-//! `rbm_im::linalg`, isolating each kernel from the training loop so the
-//! parallel-dispatch and fast-math deltas are directly attributable.
+//! `rbm_im::linalg`, isolating each kernel from the training loop so a
+//! kernel change is directly attributable.
 //!
 //! Two shapes bracket the serving reality: `narrow` is the harness default
-//! (10 visible features + 4 classes, hidden ≈ 7, batch 50) where the
-//! size-based `Auto` fallback should keep everything sequential, and `wide`
-//! (80 visible + 4 classes, hidden 40, batch 100) where row-parallelism has
-//! real work to split. Every `gemm`/`cdk` kernel runs sequential vs
-//! parallel (worker caps 1/2/4), and the activation kernels run exact vs
-//! fast-math. Outputs are bitwise-identical across the parallel arms, so
-//! deltas are pure dispatch cost vs core gain — read them against the
-//! `rayon_pool_threads` runner-metadata field (on a 1-core runner the
-//! "parallel speedup" is a dispatch-overhead measurement, nothing more).
+//! (10 visible features + 4 classes, hidden ≈ 7, batch 50) and `wide`
+//! (80 visible + 4 classes, hidden 40, batch 100) is the largest stream of
+//! the paper's Table I at a doubled mini-batch.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use rbm_im::linalg::{
-    cdk_bias_gradient_with, cdk_weight_gradient_with, gemm_acc_with, sigmoid_matrix_with,
-    softmax_cols_in_place_with, DenseMatrix, KernelPolicy, ParallelMode,
+    cdk_bias_gradient, cdk_weight_gradient, gemm_acc, sigmoid_in_place, softmax_cols_in_place,
+    DenseMatrix,
 };
 
 /// Deterministic pseudo-random matrix fill (xorshift; no rand dependency).
@@ -28,15 +22,6 @@ fn filled(rows: usize, cols: usize, seed: u64) -> DenseMatrix {
         state ^= state << 17;
         (state >> 11) as f64 / (1u64 << 53) as f64 * 2.0 - 1.0
     })
-}
-
-fn policy(threads: usize) -> KernelPolicy {
-    KernelPolicy {
-        parallel: ParallelMode::On,
-        max_threads: threads,
-        fast_math: false,
-        timing: false,
-    }
 }
 
 struct Shape {
@@ -52,7 +37,6 @@ const SHAPES: &[Shape] = &[
 ];
 
 fn bench_linalg_kernels(c: &mut Criterion) {
-    rayon::ensure_pool(4);
     rbm_im_bench::print_runner_metadata();
     let mut group = c.benchmark_group("linalg_kernels");
     group.sample_size(20);
@@ -64,22 +48,14 @@ fn bench_linalg_kernels(c: &mut Criterion) {
         // (hidden × visible) · (visible × batch).
         let a = filled(hidden, visible, 1);
         let b_mat = filled(visible, batch, 2);
-        for threads in [0usize, 1, 2, 4] {
-            let label = if threads == 0 { "seq".to_string() } else { format!("par-t{threads}") };
-            let pol = if threads == 0 { KernelPolicy::EXACT_SEQUENTIAL } else { policy(threads) };
-            group.bench_with_input(
-                BenchmarkId::new(format!("gemm_acc/{label}"), name),
-                &(),
-                |bench, _| {
-                    let mut c_mat = DenseMatrix::zeros(hidden, batch);
-                    bench.iter(|| {
-                        c_mat.fill(0.0);
-                        gemm_acc_with(&pol, &mut c_mat, &a, &b_mat);
-                        c_mat.get(0, 0)
-                    })
-                },
-            );
-        }
+        group.bench_with_input(BenchmarkId::new("gemm_acc", name), &(), |bench, _| {
+            let mut c_mat = DenseMatrix::zeros(hidden, batch);
+            bench.iter(|| {
+                c_mat.fill(0.0);
+                gemm_acc(&mut c_mat, &a, &b_mat);
+                c_mat.get(0, 0)
+            })
+        });
 
         // cdk_weight_gradient: ΔW from the positive/negative phase
         // visible/hidden states — the single hottest CD-k kernel.
@@ -88,75 +64,44 @@ fn bench_linalg_kernels(c: &mut Criterion) {
         let h0 = filled(hidden, batch, 5);
         let hk = filled(hidden, batch, 6);
         let weights: Vec<f64> = (0..batch).map(|i| 1.0 + (i % 3) as f64 * 0.25).collect();
-        for threads in [0usize, 1, 2, 4] {
-            let label = if threads == 0 { "seq".to_string() } else { format!("par-t{threads}") };
-            let pol = if threads == 0 { KernelPolicy::EXACT_SEQUENTIAL } else { policy(threads) };
-            group.bench_with_input(
-                BenchmarkId::new(format!("cdk_weight_gradient/{label}"), name),
-                &(),
-                |bench, _| {
-                    let mut d = DenseMatrix::zeros(visible, hidden);
-                    bench.iter(|| {
-                        d.fill(0.0);
-                        cdk_weight_gradient_with(&pol, &mut d, &weights, &x0, &h0, &xk, &hk);
-                        d.get(0, 0)
-                    })
-                },
-            );
-        }
+        group.bench_with_input(BenchmarkId::new("cdk_weight_gradient", name), &(), |bench, _| {
+            let mut d = DenseMatrix::zeros(visible, hidden);
+            bench.iter(|| {
+                d.fill(0.0);
+                cdk_weight_gradient(&mut d, &weights, &x0, &h0, &xk, &hk);
+                d.get(0, 0)
+            })
+        });
 
         // cdk_bias_gradient: Δa over visible rows.
-        for threads in [0usize, 1, 2, 4] {
-            let label = if threads == 0 { "seq".to_string() } else { format!("par-t{threads}") };
-            let pol = if threads == 0 { KernelPolicy::EXACT_SEQUENTIAL } else { policy(threads) };
-            group.bench_with_input(
-                BenchmarkId::new(format!("cdk_bias_gradient/{label}"), name),
-                &(),
-                |bench, _| {
-                    let mut d = vec![0.0; visible];
-                    bench.iter(|| {
-                        d.iter_mut().for_each(|v| *v = 0.0);
-                        cdk_bias_gradient_with(&pol, &mut d, &weights, &x0, &xk);
-                        d[0]
-                    })
-                },
-            );
-        }
+        group.bench_with_input(BenchmarkId::new("cdk_bias_gradient", name), &(), |bench, _| {
+            let mut d = vec![0.0; visible];
+            bench.iter(|| {
+                d.iter_mut().for_each(|v| *v = 0.0);
+                cdk_bias_gradient(&mut d, &weights, &x0, &xk);
+                d[0]
+            })
+        });
 
-        // Activation kernels: exact `exp` vs the ≤1e-9 fast-math
-        // polynomial. This is the ~1/3-of-CD-k slice the fast path targets.
+        // Activation kernels: the `exp`-bound slice of CD-k.
         let logits = filled(hidden, batch, 7);
-        for (label, fast) in [("exact", false), ("fast", true)] {
-            let pol = KernelPolicy { fast_math: fast, ..KernelPolicy::EXACT_SEQUENTIAL };
-            group.bench_with_input(
-                BenchmarkId::new(format!("sigmoid/{label}"), name),
-                &(),
-                |bench, _| {
-                    let mut m = logits.clone();
-                    bench.iter(|| {
-                        m.as_mut_slice().copy_from_slice(logits.as_slice());
-                        sigmoid_matrix_with(&pol, &mut m);
-                        m.get(0, 0)
-                    })
-                },
-            );
-        }
+        group.bench_with_input(BenchmarkId::new("sigmoid", name), &(), |bench, _| {
+            let mut m = logits.clone();
+            bench.iter(|| {
+                m.as_mut_slice().copy_from_slice(logits.as_slice());
+                sigmoid_in_place(m.as_mut_slice());
+                m.get(0, 0)
+            })
+        });
         let scores = filled(4, batch, 8);
-        for (label, fast) in [("exact", false), ("fast", true)] {
-            let pol = KernelPolicy { fast_math: fast, ..KernelPolicy::EXACT_SEQUENTIAL };
-            group.bench_with_input(
-                BenchmarkId::new(format!("softmax_cols/{label}"), name),
-                &(),
-                |bench, _| {
-                    let mut m = scores.clone();
-                    bench.iter(|| {
-                        m.as_mut_slice().copy_from_slice(scores.as_slice());
-                        softmax_cols_in_place_with(&pol, &mut m);
-                        m.get(0, 0)
-                    })
-                },
-            );
-        }
+        group.bench_with_input(BenchmarkId::new("softmax_cols", name), &(), |bench, _| {
+            let mut m = scores.clone();
+            bench.iter(|| {
+                m.as_mut_slice().copy_from_slice(scores.as_slice());
+                softmax_cols_in_place(&mut m);
+                m.get(0, 0)
+            })
+        });
     }
     group.finish();
 }

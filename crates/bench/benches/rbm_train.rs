@@ -10,19 +10,10 @@
 //! any gap is pure kernel speed. `BENCH_rbm_train.json` records the
 //! measured baseline; the acceptance bar for the flat path is ≥2× the
 //! reference's training throughput.
-//!
-//! On top of the flat-vs-reference comparison this bench sweeps the new
-//! execution modes: `train/parallel-t{1,2,4}` (row-parallel kernels with
-//! the worker cap at 1/2/4 — bitwise-identical output, so any delta is
-//! dispatch overhead vs core gain) and `train/fastmath` (the ≤1e-9
-//! polynomial-`exp` activation path). Read the thread sweep against the
-//! `rayon_pool_threads` runner-metadata field: on a 1-core runner the pool
-//! is oversubscribed and the sweep measures dispatch overhead only.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use rbm_im::network::{RbmNetwork, RbmNetworkConfig, Workspace};
 use rbm_im::reference::ReferenceRbmNetwork;
-use rbm_im::ParallelMode;
 use rbm_im_streams::generators::GaussianMixtureGenerator;
 use rbm_im_streams::{MiniBatch, StreamExt};
 
@@ -39,10 +30,6 @@ fn make_batches(num_features: usize, num_classes: usize, seed: u64) -> Vec<MiniB
 }
 
 fn bench_rbm_train(c: &mut Criterion) {
-    // Spin the kernel pool up to 4 workers before any measurement so the
-    // one-time thread spawn never lands inside a sample, and so the
-    // parallel arms genuinely dispatch even on a 1-core runner.
-    rayon::ensure_pool(4);
     rbm_im_bench::print_runner_metadata();
     let mut group = c.benchmark_group("rbm_train");
     group.sample_size(10);
@@ -51,11 +38,7 @@ fn bench_rbm_train(c: &mut Criterion) {
     // the GEMMs dominate outright.
     for &(num_features, num_classes) in &[(10usize, 4usize), (40, 4)] {
         let shape = format!("{num_features}f{num_classes}c");
-        // Baseline arms pin `parallel = Off`: the pool above is
-        // oversubscribed to 4 workers for the sweep arms, and `Auto` (the
-        // config default) would otherwise route the wide shape through it —
-        // poisoning the sequential baseline on a 1-core runner.
-        let config = RbmNetworkConfig { parallel: ParallelMode::Off, ..Default::default() };
+        let config = RbmNetworkConfig::default();
         let batches = make_batches(num_features, num_classes, 7);
 
         group.bench_with_input(BenchmarkId::new("train/flat", &shape), &(), |b, _| {
@@ -69,37 +52,6 @@ fn bench_rbm_train(c: &mut Criterion) {
         });
         group.bench_with_input(BenchmarkId::new("train/reference", &shape), &(), |b, _| {
             let mut net = ReferenceRbmNetwork::new(num_features, num_classes, config);
-            let mut i = 0usize;
-            b.iter(|| {
-                let err = net.train_batch(&batches[i % ROTATION]);
-                i += 1;
-                err
-            })
-        });
-
-        // Execution-mode sweep: row-parallel at 1/2/4 worker caps (output
-        // bitwise-identical to train/flat) and the fast-math activation
-        // path (≤1e-9). Interpret against `rayon_pool_threads` above.
-        for threads in [1usize, 2, 4] {
-            let parallel_config =
-                RbmNetworkConfig { parallel: ParallelMode::On, max_threads: threads, ..config };
-            group.bench_with_input(
-                BenchmarkId::new(format!("train/parallel-t{threads}"), &shape),
-                &(),
-                |b, _| {
-                    let mut net = RbmNetwork::new(num_features, num_classes, parallel_config);
-                    let mut i = 0usize;
-                    b.iter(|| {
-                        let err = net.train_batch(&batches[i % ROTATION]);
-                        i += 1;
-                        err
-                    })
-                },
-            );
-        }
-        let fast_config = RbmNetworkConfig { fast_math: true, ..config };
-        group.bench_with_input(BenchmarkId::new("train/fastmath", &shape), &(), |b, _| {
-            let mut net = RbmNetwork::new(num_features, num_classes, fast_config);
             let mut i = 0usize;
             b.iter(|| {
                 let err = net.train_batch(&batches[i % ROTATION]);

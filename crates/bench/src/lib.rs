@@ -24,13 +24,6 @@ use serde::{Serialize, Value};
 ///   gating on scaling validity should check this, not parse prose;
 /// * `shard_env` — the value of `RBM_SERVE_SHARDS` if the process was
 ///   pinned to specific shard counts, else `null`;
-/// * `rayon_pool_threads` — the *effective* kernel-pool size
-///   ([`rayon::pool_threads`]): `RAYON_NUM_THREADS` when set, else
-///   available parallelism, else whatever the pool was already spun up
-///   with. Parallel-kernel numbers are only interpretable against this —
-///   `logical_cores` alone can't tell a pinned pool from a free one;
-/// * `rayon_num_threads_env` — the raw `RAYON_NUM_THREADS` value if the
-///   pool size was pinned from the environment, else `null`;
 /// * `os` / `arch` — the compile-time target.
 pub fn runner_metadata() -> Value {
     let cores = std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1);
@@ -38,8 +31,6 @@ pub fn runner_metadata() -> Value {
         ("logical_cores", cores.serialize_value()),
         ("multi_core", (cores >= 2).serialize_value()),
         ("shard_env", std::env::var("RBM_SERVE_SHARDS").ok().serialize_value()),
-        ("rayon_pool_threads", rayon::pool_threads().serialize_value()),
-        ("rayon_num_threads_env", std::env::var("RAYON_NUM_THREADS").ok().serialize_value()),
         ("os", std::env::consts::OS.serialize_value()),
         ("arch", std::env::consts::ARCH.serialize_value()),
     ])
@@ -63,11 +54,8 @@ mod tests {
         let multi: bool = meta.field("multi_core").unwrap();
         assert_eq!(multi, cores >= 2);
         assert!(meta.get("shard_env").is_some());
-        let pool: usize = meta.field("rayon_pool_threads").unwrap();
-        assert!(pool >= 1, "effective pool size is always at least 1");
-        assert!(meta.get("rayon_num_threads_env").is_some());
         let json = serde_json::to_string(&meta).unwrap();
         assert!(json.contains("logical_cores"));
-        assert!(json.contains("rayon_pool_threads"));
+        assert!(json.contains("shard_env"));
     }
 }

@@ -14,8 +14,7 @@
 //! * [`pipeline::run_grid`] — the rayon-parallel detectors × streams grid
 //!   with deterministic per-cell seeding that experiments 1–3 are built on;
 //! * [`detectors::DetectorKind`] — compat shim enumerating the paper's
-//!   line-up, resolved through the registry;
-//! * [`runner`] — deprecated compat wrapper around the pipeline.
+//!   line-up, resolved through the registry.
 //!
 //! | Paper artifact | Module | Binary / bench |
 //! |---|---|---|
@@ -25,7 +24,7 @@
 //! | Fig. 6 & 7 (Bayesian signed tests) | [`experiment1`] | `--bin experiment1` |
 //! | Fig. 8 (pmAUC vs number of locally drifting classes) | [`experiment2`] | `--bin experiment2`, bench `fig8_local_drift` |
 //! | Fig. 9 (pmAUC vs imbalance ratio) | [`experiment3`] | `--bin experiment3`, bench `fig9_imbalance` |
-//! | Detector overhead (Table III bottom rows) | [`runner`] timing fields | bench `detector_overhead` |
+//! | Detector overhead (Table III bottom rows) | [`pipeline`] timing fields | bench `detector_overhead` |
 //! | Design-choice ablations (DESIGN.md) | [`ablation`] | bench `ablation_rbm` |
 //!
 //! The harness scales stream lengths down by default (`BuildConfig::default`)
@@ -43,7 +42,6 @@ pub mod experiment3;
 pub mod pipeline;
 pub mod registry;
 pub mod report;
-pub mod runner;
 pub mod stepper;
 pub mod tuning;
 

@@ -474,6 +474,7 @@ mod tests {
     use rbm_im_streams::generators::RandomRbfGenerator;
     use rbm_im_streams::scenarios::{scenario1, ScenarioConfig};
     use rbm_im_streams::stream::BoundedStream;
+    use rbm_im_streams::ReplayStream;
     use std::cell::RefCell;
 
     fn small_scenario() -> ScenarioConfig {
@@ -618,6 +619,36 @@ mod tests {
         assert_eq!(results[0].detector, "FHDDM");
         assert_eq!(results[1].detector, "RBM-IM");
         assert_eq!(results[2].stream, "beta");
+    }
+
+    #[test]
+    fn detector_driven_adaptation_beats_no_detector_after_drift() {
+        // A stream with a severe sudden drift: the classifier driven by a
+        // reasonable detector (ADWIN) should end up at least as good as one
+        // that never adapts (emulated by disabling reset_on_drift).
+        let make_stream = || {
+            use rbm_im_streams::StreamExt;
+            let mut gen = RandomRbfGenerator::new(8, 3, 2, 0.0, 77);
+            let mut all = gen.take_instances(6_000);
+            gen.regenerate();
+            all.extend(gen.take_instances(6_000));
+            ReplayStream::new(StreamSchema::new("vec", 8, 3), all)
+        };
+        let run = |reset_on_drift: bool| {
+            PipelineBuilder::new()
+                .stream(make_stream())
+                .detector_spec(DetectorKind::Adwin.spec())
+                .config(RunConfig { metric_window: 500, reset_on_drift, ..Default::default() })
+                .run()
+                .unwrap()
+        };
+        let (adaptive, frozen) = (run(true), run(false));
+        assert!(
+            adaptive.pm_auc >= frozen.pm_auc - 3.0,
+            "adaptive {:.2} should not trail frozen {:.2} materially",
+            adaptive.pm_auc,
+            frozen.pm_auc
+        );
     }
 
     #[test]

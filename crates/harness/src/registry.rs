@@ -33,8 +33,9 @@
 //! let detector = registry.build(&spec, 10, 4).unwrap();
 //! assert_eq!(detector.name(), "RBM-IM");
 //!
-//! // Execution-mode knobs take identifier words, not just numbers:
-//! let spec = DetectorSpec::parse("rbm(parallel=on, fastmath=on)").unwrap();
+//! // Some knobs take identifier words, not just numbers. The retired
+//! // kernel-mode words still parse and build, and are ignored:
+//! let spec = DetectorSpec::parse("rbm(timing=off, parallel=on, fastmath=on)").unwrap();
 //! let detector = registry.build(&spec, 10, 4).unwrap();
 //! assert_eq!(detector.name(), "RBM-IM");
 //!
@@ -48,7 +49,7 @@
 //! compatibility shim whose `build` delegates here.
 
 use rbm_im::network::RbmNetworkConfig;
-use rbm_im::{ParallelMode, RbmIm, RbmImConfig};
+use rbm_im::{RbmIm, RbmImConfig};
 use rbm_im_detectors::ddm_oci::DdmOciConfig;
 use rbm_im_detectors::fhddm::FhddmConfig;
 use rbm_im_detectors::perfsim::PerfSimConfig;
@@ -62,14 +63,14 @@ use std::fmt;
 use std::sync::OnceLock;
 
 /// A single parameter value in a detector spec: a number (the common case —
-/// hyper-parameters are numeric) or a bare identifier word for execution-mode
-/// knobs like `parallel=auto`. Words are restricted to identifier shape
+/// hyper-parameters are numeric) or a bare identifier word for switches
+/// like `timing=on`. Words are restricted to identifier shape
 /// (`[A-Za-z][A-Za-z0-9_-]*`) so spec strings stay unambiguous.
 #[derive(Debug, Clone, PartialEq)]
 pub enum ParamValue {
     /// Numeric value (`delta=0.01`, `hidden=60`).
     Number(f64),
-    /// Identifier word (`parallel=auto`, `fastmath=on`).
+    /// Identifier word (`timing=on`, `parallel=auto`).
     Word(String),
 }
 
@@ -460,14 +461,13 @@ impl DetectorRegistry {
         // `minibatch` is a compact alias of `mini_batch`; `hidden` is the
         // absolute hidden-unit count (overrides `hidden_fraction`); `seed`
         // reseeds the network RNG (the serving layer injects a per-stream
-        // seed here in deterministic mode). `parallel`/`threads`/`fastmath`
-        // are execution knobs, not hyper-parameters: `parallel=auto|off|on`
-        // selects row-parallel kernels (bitwise-identical to sequential),
-        // `threads=N` caps the worker count (0 = whole pool), and
-        // `fastmath=on|off|1|0` opts into the ≤1e-9 polynomial-`exp`
-        // activation path, and `timing=on|off|1|0` opts into per-kernel
-        // CD-k timing (`rbm_kernel_seconds{kernel}` in the global metrics
-        // registry; results are untouched).
+        // seed here in deterministic mode). `timing=on|off|1|0` opts into
+        // per-kernel CD-k timing (`rbm_kernel_seconds{kernel}` in the global
+        // metrics registry; results are untouched). `parallel=auto|off|on`,
+        // `threads=N` and `fastmath=on|off|1|0` named kernel execution
+        // modes that no longer exist; specs stored in spills and sent over
+        // RBMW before their removal still carry them, so they are validated
+        // as before and then ignored.
         const RBM_PARAMS: &[&str] = &[
             "mini_batch",
             "minibatch",
@@ -493,15 +493,10 @@ impl DetectorRegistry {
                 0 => base.network.hidden_units,
                 n => Some(n),
             };
-            // Execution-mode knobs: absent means "keep the config default"
-            // (which for `parallel` honours the RBM_KERNEL_PARALLEL env).
-            let parallel = match p.get_word("parallel", &["auto", "off", "on"])? {
-                None => base.network.parallel,
-                Some("auto") => ParallelMode::Auto,
-                Some("off") => ParallelMode::Off,
-                Some("on") => ParallelMode::On,
-                Some(_) => unreachable!("get_word validated the allowed set"),
-            };
+            // Retired execution knobs: validated, then ignored.
+            p.get_word("parallel", &["auto", "off", "on"])?;
+            p.get_u64_or("threads", 0)?;
+            p.get_flag_or("fastmath", false)?;
             let config = RbmImConfig {
                 mini_batch_size: p.get_usize_or("mini_batch", mini_batch_alias)?,
                 persistence: p.get_usize_or("persistence", base.persistence as usize)? as u32,
@@ -512,9 +507,6 @@ impl DetectorRegistry {
                     learning_rate: p.get_or("learning_rate", base.network.learning_rate)?,
                     gibbs_steps: p.get_usize_or("gibbs_steps", base.network.gibbs_steps)?,
                     seed: p.get_u64_or("seed", base.network.seed)?,
-                    parallel,
-                    max_threads: p.get_u64_or("threads", base.network.max_threads as u64)? as usize,
-                    fast_math: p.get_flag_or("fastmath", base.network.fast_math)?,
                     kernel_timing: p.get_flag_or("timing", base.network.kernel_timing)?,
                     ..base.network
                 },
@@ -770,32 +762,36 @@ mod tests {
         assert!(matches!(err, RegistryError::InvalidParam { .. }), "{err}");
     }
 
+    /// `parallel`, `threads` and `fastmath` are accepted for specs written
+    /// before their kernel modes were removed: each value is validated as
+    /// before, then ignored, so every such spec builds exactly the detector
+    /// the plain spec builds. Malformed values are still rejected.
     #[test]
     fn execution_mode_knobs_parse_and_build() {
         use rbm_im::RbmIm;
 
         let registry = DetectorRegistry::with_defaults();
-        let check = |text: &str, parallel: ParallelMode, fast_math: bool| {
+        let build = |text: &str| {
             let spec = DetectorSpec::parse(text).unwrap();
             let mut detector = registry.build(&spec, 6, 2).unwrap();
             let rbm =
                 detector.as_any_mut().unwrap().downcast_mut::<RbmIm>().expect("concrete RbmIm");
-            assert_eq!(rbm.config().network.parallel, parallel, "{text}");
-            assert_eq!(rbm.config().network.fast_math, fast_math, "{text}");
+            *rbm.config()
         };
-        check("rbm(parallel=off)", ParallelMode::Off, false);
-        check("rbm(parallel=on, fastmath=on)", ParallelMode::On, true);
-        check("rbm(parallel=auto, fastmath=0)", ParallelMode::Auto, false);
-        check("rbm(fastmath=1)", RbmNetworkConfig::default().parallel, true);
+        let plain = build("rbm(seed=7)");
+        for legacy in [
+            "rbm(seed=7, parallel=off)",
+            "rbm(seed=7, parallel=on, threads=2, fastmath=on)",
+            "rbm(seed=7, parallel=auto, fastmath=0)",
+            "rbm(seed=7, fastmath=1)",
+            "rbm(seed=7, threads=0, fastmath=off)",
+        ] {
+            assert_eq!(build(legacy), plain, "{legacy}");
+        }
 
-        // `threads` caps the worker count; it is numeric.
-        let spec = DetectorSpec::parse("rbm(parallel=on, threads=2)").unwrap();
-        let mut detector = registry.build(&spec, 6, 2).unwrap();
-        let rbm = detector.as_any_mut().unwrap().downcast_mut::<RbmIm>().unwrap();
-        assert_eq!(rbm.config().network.max_threads, 2);
-
-        // Unknown words for the mode knobs are named in the error.
-        for bad in ["rbm(parallel=sideways)", "rbm(fastmath=maybe)", "rbm(parallel=1)"] {
+        for bad in
+            ["rbm(parallel=sideways)", "rbm(parallel=1)", "rbm(threads=abc)", "rbm(fastmath=maybe)"]
+        {
             let err = registry
                 .build(&DetectorSpec::parse(bad).unwrap(), 6, 2)
                 .err()

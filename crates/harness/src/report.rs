@@ -128,7 +128,7 @@ fn truncate(s: &str, max: usize) -> String {
 mod tests {
     use super::*;
     use crate::experiment1::{run_experiment1, BuildConfigSerde, Experiment1Config};
-    use crate::runner::RunConfig;
+    use crate::pipeline::RunConfig;
 
     fn tiny_result() -> Experiment1Result {
         let config = Experiment1Config {

@@ -94,13 +94,19 @@ fn sequential_baseline(feed: &Feed, run: RunConfig) -> RunResult {
 }
 
 fn assert_results_match(context: &str, served: &RunResult, sequential: &RunResult) {
-    assert_eq!(served.detections, sequential.detections, "{context}: drift offsets");
-    assert_eq!(served.instances, sequential.instances, "{context}: instance count");
-    assert_eq!(served.pm_auc, sequential.pm_auc, "{context}: pmAUC");
-    assert_eq!(served.pm_gmean, sequential.pm_gmean, "{context}: pmGM");
-    assert_eq!(served.accuracy, sequential.accuracy, "{context}: accuracy");
-    assert_eq!(served.kappa, sequential.kappa, "{context}: kappa");
+    assert_same_outcome(context, served, sequential);
     assert_eq!(served.detector, sequential.detector, "{context}: detector label");
+}
+
+/// Drift offsets and every prequential metric agree bit for bit (the
+/// detector labels may differ).
+fn assert_same_outcome(context: &str, a: &RunResult, b: &RunResult) {
+    assert_eq!(a.detections, b.detections, "{context}: drift offsets");
+    assert_eq!(a.instances, b.instances, "{context}: instance count");
+    assert_eq!(a.pm_auc, b.pm_auc, "{context}: pmAUC");
+    assert_eq!(a.pm_gmean, b.pm_gmean, "{context}: pmGM");
+    assert_eq!(a.accuracy, b.accuracy, "{context}: accuracy");
+    assert_eq!(a.kappa, b.kappa, "{context}: kappa");
 }
 
 /// Wire-client retry loop mirroring the serving suite's `ingest_all`.
@@ -392,15 +398,15 @@ fn wire_detach_returns_the_sequential_result() {
     server.shutdown();
 }
 
-/// The new kernel knobs survive the wire: a TCP `Attach` whose spec carries
-/// `parallel=on, threads=2` (and a second feed with `fastmath=on`) produces
-/// a report bitwise-identical to the same feeds attached in-process, and to
-/// the sequential pipeline ground truth. This extends the serving-level
-/// mode-transparency pin (`rbm-im-serve`) across the wire protocol — the
+/// The removed kernel knobs still attach over the wire: a TCP `Attach`
+/// whose spec carries `parallel=on, threads=2` (and a second feed with
+/// `fastmath=on`) produces a report bitwise-identical to the same feeds
+/// attached in-process, to the sequential pipeline ground truth, and to the
+/// plain spec without the knobs, which are validated and then ignored. The
 /// spec grammar's word-valued params round-trip through the frame codec.
 #[test]
 fn kernel_mode_params_attach_bitwise_identically_over_tcp() {
-    rayon::ensure_pool(4);
+    const PLAIN: &str = "rbm(mini_batch=25, warmup=4, persistence=1)";
     let specs = [
         "rbm(mini_batch=25, warmup=4, persistence=1, parallel=on, threads=2)",
         "rbm(mini_batch=25, warmup=4, persistence=1, fastmath=on)",
@@ -445,5 +451,16 @@ fn kernel_mode_params_attach_bitwise_identically_over_tcp() {
         );
         let observed = tcp_drifts.get(&feed.id).cloned().unwrap_or_default();
         assert_eq!(observed, summary.result.detections, "{}: subscribed drift events", feed.id);
+        let plain = Feed {
+            id: feed.id.clone(),
+            schema: feed.schema.clone(),
+            instances: feed.instances.clone(),
+            spec: DetectorSpec::parse(PLAIN).unwrap(),
+        };
+        assert_same_outcome(
+            &format!("{} TCP vs plain spec", feed.id),
+            &summary.result,
+            &sequential_baseline(&plain, run_config()),
+        );
     }
 }

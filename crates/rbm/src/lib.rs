@@ -60,7 +60,7 @@ pub mod reference;
 pub mod trend;
 
 pub use detector::{RbmIm, RbmImConfig};
-pub use linalg::{DenseMatrix, KernelPolicy, ParallelMode};
+pub use linalg::DenseMatrix;
 pub use network::{RbmNetwork, RbmNetworkConfig, Workspace};
 pub use pool::WorkspacePool;
 pub use reference::ReferenceRbmNetwork;

@@ -6,7 +6,7 @@
 //! `Vec<Vec<f64>>` (one heap allocation per row, a pointer chase per row
 //! access) this layout is cache-friendly, allocation-free once sized, and
 //! auto-vectorizable: every kernel below keeps its inner loop over
-//! contiguous slices so LLVM emits SIMD without any `unsafe` or intrinsics.
+//! contiguous slices so LLVM emits SIMD from safe code, without intrinsics.
 //!
 //! **Reproducibility contract.** The batched CD-k trainer promises results
 //! bitwise-identical to the retained per-instance reference implementation
@@ -21,23 +21,13 @@
 //! accumulation (`axpy`) parallelizes across output columns, not across the
 //! reduction.
 //!
-//! **Execution modes.** Every hot kernel has a policy-dispatched `_with`
-//! variant taking a [`KernelPolicy`]; three modes exist:
-//!
-//! 1. *sequential exact* — the plain kernels below; the baseline;
-//! 2. *parallel exact* ([`KernelPolicy::parallel`]) — output **rows** are
-//!    split into contiguous ranges executed on the persistent `rayon`
-//!    worker pool. Each row's full reduction runs on one worker with the
-//!    identical code path, and the reduction is never split, so results
-//!    are **bitwise-identical to sequential at any thread count**;
-//! 3. *fast-math* ([`KernelPolicy::fast_math`], opt-in) — the
-//!    transcendental kernels (`sigmoid`, column softmax) switch `exp` to
-//!    the branch-free polynomial [`fast_exp`], deliberately trading
-//!    bitwise identity for a tolerance-tested `≤ 1e-9` absolute
-//!    equivalence and a vectorizable inner loop.
-//!
-//! Modes 1 and 2 may be mixed freely (per call, per thread count); mode 3
-//! changes results within tolerance and is never enabled by default.
+//! **One execution path.** Each kernel is a single sequential function.
+//! The paper's shapes (10–80 visible units, hidden 0.25–1·V, mini-batches
+//! of 50) are too small for row-level parallelism to pay: measured on a
+//! 2-core runner, splitting output rows across a worker pool was slower
+//! than the sequential kernel on every kernel and shape. Parallelism lives
+//! at coarser grains instead — one stream per shard worker, one grid cell
+//! per `run_grid` thread.
 
 /// A dense row-major matrix over `f64`.
 ///
@@ -193,228 +183,6 @@ pub fn dot(x: &[f64], y: &[f64]) -> f64 {
     acc
 }
 
-// ---------------------------------------------------------------------------
-// Kernel execution policy
-// ---------------------------------------------------------------------------
-
-/// Row-parallelism mode of the policy-dispatched kernels.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum ParallelMode {
-    /// Parallelize only when the kernel is large enough to amortize the
-    /// fork/join handshake (a fixed work threshold); narrow streams stay on
-    /// the sequential path. The default.
-    #[default]
-    Auto,
-    /// Always sequential, regardless of pool size.
-    Off,
-    /// Parallelize whenever more than one output row exists and the pool
-    /// has more than one thread (no size threshold — mainly for tests and
-    /// microbenches).
-    On,
-}
-
-impl ParallelMode {
-    /// Reads the process-wide default from `RBM_KERNEL_PARALLEL`
-    /// (`auto`/`off`/`on`, case-insensitive); unset or unrecognized values
-    /// mean [`ParallelMode::Auto`]. Safe to consult from config defaults:
-    /// the mode selects an execution strategy, never a different result
-    /// (parallel-exact is bitwise-identical to sequential).
-    pub fn from_env() -> ParallelMode {
-        match std::env::var("RBM_KERNEL_PARALLEL").unwrap_or_default().to_ascii_lowercase().trim() {
-            "off" => ParallelMode::Off,
-            "on" => ParallelMode::On,
-            _ => ParallelMode::Auto,
-        }
-    }
-}
-
-/// How the policy-dispatched (`_with`) kernels execute.
-///
-/// The default policy (`KernelPolicy::default()`) is sequential-equivalent:
-/// `Auto` parallelism with the whole pool available and exact math.
-#[derive(Debug, Clone, Copy, PartialEq, Default)]
-pub struct KernelPolicy {
-    /// Row-parallelism mode (never changes results — see [`ParallelMode`]).
-    pub parallel: ParallelMode,
-    /// Upper bound on total threads a kernel may use, `0` = the whole pool
-    /// ([`rayon::pool_threads`]). Caps, never grows, the pool; benches use
-    /// it to sweep 1/2/4 threads inside one process.
-    pub max_threads: usize,
-    /// Opt-in fast-math: `sigmoid`/column-softmax use [`fast_exp`] instead
-    /// of `f64::exp`, trading bitwise identity for a ≤ 1e-9 absolute
-    /// tolerance (proptest-bounded) and a vectorizable inner loop.
-    pub fast_math: bool,
-    /// Opt-in kernel timing: each policy-dispatched kernel records its
-    /// wall-clock duration into the process-global metrics registry
-    /// ([`rbm_im_obs::global`]) as `rbm_kernel_seconds{kernel}`. Off by
-    /// default and additionally gated on [`rbm_im_obs::enabled`]; timing
-    /// observes, never changes, kernel results.
-    pub timing: bool,
-}
-
-impl KernelPolicy {
-    /// The baseline policy: sequential, exact. Bitwise-identical to calling
-    /// the plain kernels.
-    pub const EXACT_SEQUENTIAL: KernelPolicy = KernelPolicy {
-        parallel: ParallelMode::Off,
-        max_threads: 0,
-        fast_math: false,
-        timing: false,
-    };
-}
-
-/// Drop-guard of the opt-in kernel timing: armed only when the policy asks
-/// for timing *and* observability is globally enabled, it records the
-/// elapsed nanoseconds into `rbm_kernel_seconds{kernel}` in the global
-/// registry on drop (covering every early-return path of a kernel).
-struct KernelTimer {
-    kernel: &'static str,
-    start: Option<std::time::Instant>,
-}
-
-impl KernelTimer {
-    #[inline]
-    fn start(policy: &KernelPolicy, kernel: &'static str) -> KernelTimer {
-        let start = if policy.timing && rbm_im_obs::enabled() {
-            Some(std::time::Instant::now())
-        } else {
-            None
-        };
-        KernelTimer { kernel, start }
-    }
-}
-
-impl Drop for KernelTimer {
-    fn drop(&mut self) {
-        if let Some(start) = self.start {
-            rbm_im_obs::global()
-                .histogram("rbm_kernel_seconds", &[("kernel", self.kernel)])
-                .record(start.elapsed().as_nanos() as u64);
-        }
-    }
-}
-
-/// Minimum per-kernel work (inner-loop multiply-adds) before `Auto` engages
-/// the pool. Below this the fork/join handshake (~a few µs of mutex +
-/// condvar traffic) costs more than the row work it buys; the narrow
-/// 10-feature streams of the paper's Table I stay sequential, 80-feature
-/// wide streams at batch 100 go parallel.
-const PAR_MIN_WORK: usize = 1 << 15;
-
-/// Number of worker chunks a kernel with `rows` independent output rows and
-/// `work` total multiply-adds should split into under `policy` (1 =
-/// sequential).
-fn plan_workers(policy: &KernelPolicy, rows: usize, work: usize) -> usize {
-    if rows < 2 {
-        return 1;
-    }
-    let pool = rayon::pool_threads();
-    let cap = if policy.max_threads == 0 { pool } else { policy.max_threads.min(pool) };
-    if cap <= 1 {
-        return 1;
-    }
-    match policy.parallel {
-        ParallelMode::Off => 1,
-        ParallelMode::On => cap.min(rows),
-        ParallelMode::Auto => {
-            if work < PAR_MIN_WORK {
-                1
-            } else {
-                // Scale worker count with available work so medium kernels
-                // don't fan out to threads they can't feed.
-                cap.min(rows).min(work / PAR_MIN_WORK + 1)
-            }
-        }
-    }
-}
-
-/// Raw mutable base pointer smuggled into pool chunks. Each chunk derives a
-/// **disjoint** row/column range from it, so no two chunks alias.
-#[derive(Clone, Copy)]
-struct SendPtr(*mut f64);
-// SAFETY: chunks only dereference disjoint ranges (asserted at each use
-// site), and the posting thread blocks until all chunks retire.
-unsafe impl Send for SendPtr {}
-unsafe impl Sync for SendPtr {}
-
-impl SendPtr {
-    /// The wrapped pointer. Method (not field) access on purpose: closures
-    /// then capture the `Sync` wrapper, not the raw pointer itself, which
-    /// edition-2021 disjoint capture would otherwise pluck out.
-    #[inline]
-    fn ptr(self) -> *mut f64 {
-        self.0
-    }
-}
-
-/// Splits `rows` into `workers` balanced contiguous ranges; returns the
-/// bounds of range `chunk`.
-#[inline]
-fn chunk_bounds(rows: usize, workers: usize, chunk: usize) -> (usize, usize) {
-    (chunk * rows / workers, (chunk + 1) * rows / workers)
-}
-
-// ---------------------------------------------------------------------------
-// Fast-math exp
-// ---------------------------------------------------------------------------
-
-/// Branch-free polynomial `exp` for the opt-in fast-math mode.
-///
-/// Classic constant-folded range reduction: `x = k·ln2 + r` with
-/// `|r| ≤ ln2/2`, `k` extracted by magic-number rounding, `ln2` split into
-/// high/low parts so the reduction is exact to ~1e-20, `e^r` evaluated as a
-/// degree-11 Taylor polynomial in Horner form (truncation error ≈ 6e-15
-/// relative), and `2^k` rebuilt by exponent-bit construction. The argument
-/// is clamped to `[-708, 709]`, inside which `2^k` stays a normal f64;
-/// outside it the exact `exp` under/overflows and the sigmoid/softmax
-/// consumers saturate identically to within the documented tolerance.
-///
-/// Maximum relative error vs `f64::exp` is ~2e-14 (proptest-bounded at
-/// 1e-13 in this crate's test-suite), far inside the advertised ≤ 1e-9
-/// network-level tolerance. Unlike `f64::exp` (an opaque libm call with
-/// internal branches), this body is straight-line arithmetic, so LLVM can
-/// vectorize loops over it.
-#[inline]
-pub fn fast_exp(x: f64) -> f64 {
-    const LOG2_E: f64 = std::f64::consts::LOG2_E;
-    // ln(2) split so that `k * LN2_HI` is exact for |k| < 2^(52-42): the
-    // high part carries only the leading 42 significand bits.
-    const LN2_HI: f64 = 0.693_147_180_369_123_8;
-    const LN2_LO: f64 = 1.908_214_929_270_587_7e-10;
-    // 1.5·2^52: adding it pushes the integer part of a small f64 into the
-    // lowest significand bits, rounding to nearest — subtracting it back
-    // yields round(x·log2e) without a branch or an explicit `round` call.
-    const SHIFT: f64 = 6_755_399_441_055_744.0;
-    let x = x.clamp(-708.0, 709.0);
-    let kf = (x * LOG2_E + SHIFT) - SHIFT;
-    let r = (x - kf * LN2_HI) - kf * LN2_LO;
-    // Taylor coefficients 1/n! for n = 11 down to 0, Horner-folded. The
-    // loop has a const trip count so LLVM unrolls it to the same
-    // straight-line chain the nested expression would produce, with an
-    // identical operation order (each step is `p*r + c`).
-    const HORNER: [f64; 12] = [
-        1.0 / 39_916_800.0,
-        1.0 / 3_628_800.0,
-        1.0 / 362_880.0,
-        1.0 / 40_320.0,
-        1.0 / 5_040.0,
-        1.0 / 720.0,
-        1.0 / 120.0,
-        1.0 / 24.0,
-        1.0 / 6.0,
-        0.5,
-        1.0,
-        1.0,
-    ];
-    let mut p = HORNER[0];
-    for &c in &HORNER[1..] {
-        p = p * r + c;
-    }
-    // 2^k by exponent construction; kf ∈ [-1022, 1023] after the clamp.
-    let scale = f64::from_bits((((kf as i64) + 1023) << 52) as u64);
-    scale * p
-}
-
 /// Column panel width of the blocked GEMM. 256 doubles (2 KiB per panel
 /// row) keeps a few panel rows of `b` resident in L1 while still giving the
 /// axpy inner loop long contiguous runs.
@@ -436,48 +204,8 @@ pub fn gemm_acc(c: &mut DenseMatrix, a: &DenseMatrix, b: &DenseMatrix) {
     assert_eq!(a.cols, b.rows, "gemm inner dimensions must agree");
     assert_eq!(c.rows, a.rows, "gemm output rows must match a");
     assert_eq!(c.cols, b.cols, "gemm output cols must match b");
-    let (m, n, k) = (c.rows, c.cols, a.cols);
-    gemm_rows(&mut c.data, &a.data, &b.data, m, n, k);
-}
-
-/// Policy-dispatched [`gemm_acc`]: splits the `m` output rows into
-/// contiguous chunks across the pool when `policy` allows. Bitwise-identical
-/// to the sequential kernel at any thread count — a chunk runs exactly the
-/// code `gemm_acc` would run on those rows (the row blocking is relative to
-/// the chunk base, and per-element accumulation order never depends on it).
-pub fn gemm_acc_with(policy: &KernelPolicy, c: &mut DenseMatrix, a: &DenseMatrix, b: &DenseMatrix) {
-    assert_eq!(a.cols, b.rows, "gemm inner dimensions must agree");
-    assert_eq!(c.rows, a.rows, "gemm output rows must match a");
-    assert_eq!(c.cols, b.cols, "gemm output cols must match b");
-    let _timer = KernelTimer::start(policy, "gemm");
-    let (m, n, k) = (c.rows, c.cols, a.cols);
-    let workers = plan_workers(policy, m, m * n * k);
-    if workers <= 1 {
-        gemm_rows(&mut c.data, &a.data, &b.data, m, n, k);
-        return;
-    }
-    let c_base = SendPtr(c.data.as_mut_ptr());
-    let (a_data, b_data) = (&a.data[..], &b.data[..]);
-    rayon::parallel_chunks(workers, workers - 1, |chunk| {
-        let (lo, hi) = chunk_bounds(m, workers, chunk);
-        if lo == hi {
-            return;
-        }
-        // SAFETY: chunk ranges partition 0..m, so the row slices are
-        // disjoint; the matrices were size-checked above.
-        let c_rows =
-            unsafe { std::slice::from_raw_parts_mut(c_base.ptr().add(lo * n), (hi - lo) * n) };
-        gemm_rows(c_rows, &a_data[lo * k..hi * k], b_data, hi - lo, n, k);
-    });
-}
-
-/// Row-range core of [`gemm_acc`]: `c (rows×n) += a (rows×k) · b (k×n)`
-/// over flat row-major slices. `c`/`a` hold exactly `rows` rows (callers
-/// offset into the full matrices); `b` is the full `k×n` operand.
-fn gemm_rows(c: &mut [f64], a: &[f64], b: &[f64], rows: usize, n: usize, k: usize) {
-    debug_assert_eq!(c.len(), rows * n);
-    debug_assert_eq!(a.len(), rows * k);
-    debug_assert_eq!(b.len(), k * n);
+    let (rows, n, k) = (c.rows, c.cols, a.cols);
+    let (c, a, b) = (&mut c.data[..], &a.data[..], &b.data[..]);
     let mut j0 = 0;
     while j0 < n {
         let j1 = (j0 + GEMM_PANEL).min(n);
@@ -551,77 +279,10 @@ pub fn gemm2_acc(
     assert_eq!(c.rows, a2.rows, "gemm2 output rows must match a2");
     assert_eq!(c.cols, b1.cols, "gemm2 output cols must match b1");
     assert_eq!(c.cols, b2.cols, "gemm2 output cols must match b2");
-    let (m, n) = (c.rows, c.cols);
+    let (rows, n) = (c.rows, c.cols);
     let (k1, k2) = (a1.cols, a2.cols);
-    gemm2_rows(&mut c.data, &a1.data, &b1.data, k1, &a2.data, &b2.data, k2, m, n);
-}
-
-/// Policy-dispatched [`gemm2_acc`]; same row-chunk strategy (and the same
-/// bitwise guarantee) as [`gemm_acc_with`].
-pub fn gemm2_acc_with(
-    policy: &KernelPolicy,
-    c: &mut DenseMatrix,
-    a1: &DenseMatrix,
-    b1: &DenseMatrix,
-    a2: &DenseMatrix,
-    b2: &DenseMatrix,
-) {
-    assert_eq!(a1.cols, b1.rows, "gemm2 first inner dimensions must agree");
-    assert_eq!(a2.cols, b2.rows, "gemm2 second inner dimensions must agree");
-    assert_eq!(c.rows, a1.rows, "gemm2 output rows must match a1");
-    assert_eq!(c.rows, a2.rows, "gemm2 output rows must match a2");
-    assert_eq!(c.cols, b1.cols, "gemm2 output cols must match b1");
-    assert_eq!(c.cols, b2.cols, "gemm2 output cols must match b2");
-    let _timer = KernelTimer::start(policy, "gemm2");
-    let (m, n) = (c.rows, c.cols);
-    let (k1, k2) = (a1.cols, a2.cols);
-    let workers = plan_workers(policy, m, m * n * (k1 + k2));
-    if workers <= 1 {
-        gemm2_rows(&mut c.data, &a1.data, &b1.data, k1, &a2.data, &b2.data, k2, m, n);
-        return;
-    }
-    let c_base = SendPtr(c.data.as_mut_ptr());
-    let (a1d, b1d, a2d, b2d) = (&a1.data[..], &b1.data[..], &a2.data[..], &b2.data[..]);
-    rayon::parallel_chunks(workers, workers - 1, |chunk| {
-        let (lo, hi) = chunk_bounds(m, workers, chunk);
-        if lo == hi {
-            return;
-        }
-        // SAFETY: chunk ranges partition 0..m, so the row slices are
-        // disjoint; the matrices were size-checked above.
-        let c_rows =
-            unsafe { std::slice::from_raw_parts_mut(c_base.ptr().add(lo * n), (hi - lo) * n) };
-        gemm2_rows(
-            c_rows,
-            &a1d[lo * k1..hi * k1],
-            b1d,
-            k1,
-            &a2d[lo * k2..hi * k2],
-            b2d,
-            k2,
-            hi - lo,
-            n,
-        );
-    });
-}
-
-/// Row-range core of [`gemm2_acc`] over flat row-major slices; `c`/`a1`/`a2`
-/// hold exactly `rows` rows, `b1`/`b2` are the full operands.
-#[allow(clippy::too_many_arguments)]
-fn gemm2_rows(
-    c: &mut [f64],
-    a1: &[f64],
-    b1: &[f64],
-    k1: usize,
-    a2: &[f64],
-    b2: &[f64],
-    k2: usize,
-    rows: usize,
-    n: usize,
-) {
-    debug_assert_eq!(c.len(), rows * n);
-    debug_assert_eq!(a1.len(), rows * k1);
-    debug_assert_eq!(a2.len(), rows * k2);
+    let (c, a1, b1, a2, b2) =
+        (&mut c.data[..], &a1.data[..], &b1.data[..], &a2.data[..], &b2.data[..]);
     let mut j0 = 0;
     while j0 < n {
         let j1 = (j0 + GEMM_PANEL).min(n);
@@ -727,47 +388,6 @@ pub fn sigmoid_in_place(x: &mut [f64]) {
     }
 }
 
-/// Fast-math sigmoid: [`sigmoid_in_place`] with [`fast_exp`] substituted
-/// for `f64::exp`. Absolute error vs the exact kernel is bounded by the
-/// fast-math tolerance (≤ 1e-9, typically ~1e-15: a sigmoid's derivative
-/// w.r.t. its `exp` term is at most 1). The loop body is branch-free, so it
-/// vectorizes.
-pub fn sigmoid_in_place_fast(x: &mut [f64]) {
-    for v in x.iter_mut() {
-        *v = 1.0 / (1.0 + fast_exp(-*v));
-    }
-}
-
-/// Policy-dispatched sigmoid over a **feature-major** activation matrix:
-/// selects exact vs fast-math per [`KernelPolicy::fast_math`] and splits
-/// the flat element range across the pool when `policy` allows (each
-/// element is independent, so any split is bitwise-safe *within* a math
-/// mode).
-pub fn sigmoid_matrix_with(policy: &KernelPolicy, m: &mut DenseMatrix) {
-    let _timer = KernelTimer::start(policy, "sigmoid");
-    let total = m.data.len();
-    // Unit of work per element is several mul/adds (polynomial) or a libm
-    // call; weight it so Auto engages at realistic activation sizes.
-    let workers = plan_workers(policy, total / 64 + 1, total * 8);
-    let apply: fn(&mut [f64]) =
-        if policy.fast_math { sigmoid_in_place_fast } else { sigmoid_in_place };
-    if workers <= 1 {
-        apply(&mut m.data);
-        return;
-    }
-    let base = SendPtr(m.data.as_mut_ptr());
-    rayon::parallel_chunks(workers, workers - 1, |chunk| {
-        let (lo, hi) = chunk_bounds(total, workers, chunk);
-        if lo == hi {
-            return;
-        }
-        // SAFETY: chunk ranges partition 0..total, so the element slices
-        // are disjoint.
-        let part = unsafe { std::slice::from_raw_parts_mut(base.ptr().add(lo), hi - lo) };
-        apply(part);
-    });
-}
-
 /// In-place numerically stable softmax: replaces raw scores with the
 /// softmax distribution (uniform for degenerate inputs) without any
 /// allocation.
@@ -821,81 +441,9 @@ pub fn cdk_weight_gradient(
     assert_eq!(hk.cols, batch, "hk batch mismatch");
     assert_eq!(d.rows, x0.rows, "gradient rows must match x height");
     assert_eq!(d.cols, h0.rows, "gradient cols must match h height");
-    let (v, h) = (d.rows, d.cols);
-    cdk_weight_rows(&mut d.data, weights, &x0.data, &xk.data, &h0.data, &hk.data, v, h, batch);
-}
-
-/// Policy-dispatched [`cdk_weight_gradient`]: splits the `V` gradient rows
-/// (visible units) across the pool. Each row's batch reductions run whole
-/// on one worker in the sequential op order, so the result is
-/// bitwise-identical to sequential at any thread count.
-pub fn cdk_weight_gradient_with(
-    policy: &KernelPolicy,
-    d: &mut DenseMatrix,
-    weights: &[f64],
-    x0: &DenseMatrix,
-    h0: &DenseMatrix,
-    xk: &DenseMatrix,
-    hk: &DenseMatrix,
-) {
-    let batch = weights.len();
-    assert_eq!(x0.cols, batch, "x0 batch mismatch");
-    assert_eq!(xk.cols, batch, "xk batch mismatch");
-    assert_eq!(h0.cols, batch, "h0 batch mismatch");
-    assert_eq!(hk.cols, batch, "hk batch mismatch");
-    assert_eq!(d.rows, x0.rows, "gradient rows must match x height");
-    assert_eq!(d.cols, h0.rows, "gradient cols must match h height");
-    let _timer = KernelTimer::start(policy, "cdk_weight_grad");
-    let (v, h) = (d.rows, d.cols);
-    let workers = plan_workers(policy, v, v * h * batch * 2);
-    if workers <= 1 {
-        cdk_weight_rows(&mut d.data, weights, &x0.data, &xk.data, &h0.data, &hk.data, v, h, batch);
-        return;
-    }
-    let d_base = SendPtr(d.data.as_mut_ptr());
-    let (x0d, xkd, h0d, hkd) = (&x0.data[..], &xk.data[..], &h0.data[..], &hk.data[..]);
-    rayon::parallel_chunks(workers, workers - 1, |chunk| {
-        let (lo, hi) = chunk_bounds(v, workers, chunk);
-        if lo == hi {
-            return;
-        }
-        // SAFETY: chunk ranges partition 0..v, so the gradient row slices
-        // are disjoint; operands were size-checked above.
-        let d_rows =
-            unsafe { std::slice::from_raw_parts_mut(d_base.ptr().add(lo * h), (hi - lo) * h) };
-        cdk_weight_rows(
-            d_rows,
-            weights,
-            &x0d[lo * batch..hi * batch],
-            &xkd[lo * batch..hi * batch],
-            h0d,
-            hkd,
-            hi - lo,
-            h,
-            batch,
-        );
-    });
-}
-
-/// Row-range core of [`cdk_weight_gradient`]: `d`/`x0`/`xk` hold exactly
-/// `rows` rows (callers offset into the full matrices), `h0`/`hk` are the
-/// full `h × batch` activations.
-#[allow(clippy::too_many_arguments)]
-fn cdk_weight_rows(
-    d: &mut [f64],
-    weights: &[f64],
-    x0: &[f64],
-    xk: &[f64],
-    h0: &[f64],
-    hk: &[f64],
-    rows: usize,
-    h: usize,
-    batch: usize,
-) {
-    debug_assert_eq!(d.len(), rows * h);
-    debug_assert_eq!(x0.len(), rows * batch);
-    debug_assert_eq!(xk.len(), rows * batch);
-    let weights = &weights[..batch];
+    let (rows, h) = (d.rows, d.cols);
+    let (d, x0, xk, h0, hk) =
+        (&mut d.data[..], &x0.data[..], &xk.data[..], &h0.data[..], &hk.data[..]);
     for i in 0..rows {
         let x0r = &x0[i * batch..(i + 1) * batch];
         let xkr = &xk[i * batch..(i + 1) * batch];
@@ -951,57 +499,7 @@ pub fn cdk_bias_gradient(d: &mut [f64], weights: &[f64], x0: &DenseMatrix, xk: &
     assert_eq!(x0.cols, batch, "x0 batch mismatch");
     assert_eq!(xk.cols, batch, "xk batch mismatch");
     assert_eq!(d.len(), x0.rows, "bias gradient length mismatch");
-    cdk_bias_rows(d, weights, &x0.data, &xk.data, batch);
-}
-
-/// Policy-dispatched [`cdk_bias_gradient`]: splits the unit rows across the
-/// pool; each element's batch reduction runs whole on one worker, so the
-/// result is bitwise-identical to sequential (the 2-row interleave is
-/// per-element independent and chunk-local).
-pub fn cdk_bias_gradient_with(
-    policy: &KernelPolicy,
-    d: &mut [f64],
-    weights: &[f64],
-    x0: &DenseMatrix,
-    xk: &DenseMatrix,
-) {
-    let batch = weights.len();
-    assert_eq!(x0.cols, batch, "x0 batch mismatch");
-    assert_eq!(xk.cols, batch, "xk batch mismatch");
-    assert_eq!(d.len(), x0.rows, "bias gradient length mismatch");
-    let _timer = KernelTimer::start(policy, "cdk_bias_grad");
-    let rows = d.len();
-    let workers = plan_workers(policy, rows, rows * batch);
-    if workers <= 1 {
-        cdk_bias_rows(d, weights, &x0.data, &xk.data, batch);
-        return;
-    }
-    let d_base = SendPtr(d.as_mut_ptr());
-    let (x0d, xkd) = (&x0.data[..], &xk.data[..]);
-    rayon::parallel_chunks(workers, workers - 1, |chunk| {
-        let (lo, hi) = chunk_bounds(rows, workers, chunk);
-        if lo == hi {
-            return;
-        }
-        // SAFETY: chunk ranges partition 0..rows, so the gradient slices
-        // are disjoint; operands were size-checked above.
-        let d_part = unsafe { std::slice::from_raw_parts_mut(d_base.ptr().add(lo), hi - lo) };
-        cdk_bias_rows(
-            d_part,
-            weights,
-            &x0d[lo * batch..hi * batch],
-            &xkd[lo * batch..hi * batch],
-            batch,
-        );
-    });
-}
-
-/// Row-range core of [`cdk_bias_gradient`] over flat slices holding exactly
-/// `d.len()` rows.
-fn cdk_bias_rows(d: &mut [f64], weights: &[f64], x0: &[f64], xk: &[f64], batch: usize) {
-    debug_assert_eq!(x0.len(), d.len() * batch);
-    debug_assert_eq!(xk.len(), d.len() * batch);
-    let weights = &weights[..batch];
+    let (x0, xk) = (&x0.data[..], &xk.data[..]);
     let mut i = 0;
     while i + 2 <= d.len() {
         let x0a = &x0[i * batch..(i + 1) * batch];
@@ -1035,98 +533,29 @@ fn cdk_bias_rows(d: &mut [f64], weights: &[f64], x0: &[f64], xk: &[f64], batch: 
 /// ascending-order sum, divide; uniform for degenerate columns).
 pub fn softmax_cols_in_place(m: &mut DenseMatrix) {
     let (z, n) = (m.rows, m.cols);
-    if z == 0 {
-        return;
-    }
-    softmax_cols_range(&mut m.data, z, n, 0, n, f64::exp);
-}
-
-/// Policy-dispatched column softmax: selects exact vs fast-math `exp` per
-/// [`KernelPolicy::fast_math`] and splits the **columns** (instances)
-/// across the pool when `policy` allows. Every column is processed whole by
-/// one worker in the exact sequential op order, so the split is
-/// bitwise-safe within a math mode.
-pub fn softmax_cols_in_place_with(policy: &KernelPolicy, m: &mut DenseMatrix) {
-    let _timer = KernelTimer::start(policy, "softmax");
-    let (z, n) = (m.rows, m.cols);
-    if z == 0 {
-        return;
-    }
-    let exp: fn(f64) -> f64 = if policy.fast_math { fast_exp } else { f64::exp };
-    let workers = plan_workers(policy, n, z * n * 8);
-    if workers <= 1 {
-        softmax_cols_range(&mut m.data, z, n, 0, n, exp);
-        return;
-    }
-    let base = SendPtr(m.data.as_mut_ptr());
-    rayon::parallel_chunks(workers, workers - 1, |chunk| {
-        let (lo, hi) = chunk_bounds(n, workers, chunk);
-        if lo == hi {
-            return;
-        }
-        // SAFETY: chunks touch disjoint column ranges, so no element is
-        // accessed by two chunks; the backing allocation outlives the
-        // dispatch (the poster blocks until every chunk retires). The core
-        // goes through the raw pointer because the columns of a chunk are
-        // strided — a per-chunk `&mut` slice would overlap its neighbours.
-        unsafe { softmax_cols_range_raw(base.ptr(), z, n, lo, hi, exp) }
-    });
-}
-
-/// Raw-pointer core of the column softmax over columns `c0..c1`.
-///
-/// # Safety
-///
-/// `data` must point at a live `z * n` f64 buffer, and the caller must
-/// guarantee exclusive access to the elements of columns `c0..c1` (index
-/// `k * n + col` for every `k < z`, `c0 <= col < c1`) for the duration of
-/// the call.
-unsafe fn softmax_cols_range_raw(
-    data: *mut f64,
-    z: usize,
-    n: usize,
-    c0: usize,
-    c1: usize,
-    exp: fn(f64) -> f64,
-) {
-    debug_assert!(c1 <= n);
-    for col in c0..c1 {
+    let data = &mut m.data[..z * n];
+    for col in 0..n {
         let mut max = f64::NEG_INFINITY;
         for k in 0..z {
-            max = f64::max(max, unsafe { *data.add(k * n + col) });
+            max = f64::max(max, data[k * n + col]);
         }
         let mut total = 0.0;
         for k in 0..z {
-            let slot = unsafe { &mut *data.add(k * n + col) };
-            let e = exp(*slot - max);
-            *slot = e;
+            let e = (data[k * n + col] - max).exp();
+            data[k * n + col] = e;
             total += e;
         }
         if total <= 0.0 || !total.is_finite() {
             let uniform = 1.0 / z as f64;
             for k in 0..z {
-                unsafe { *data.add(k * n + col) = uniform };
+                data[k * n + col] = uniform;
             }
             continue;
         }
         for k in 0..z {
-            unsafe { *data.add(k * n + col) /= total };
+            data[k * n + col] /= total;
         }
     }
-}
-
-/// Safe wrapper over [`softmax_cols_range_raw`] for exclusive access.
-fn softmax_cols_range(
-    data: &mut [f64],
-    z: usize,
-    n: usize,
-    c0: usize,
-    c1: usize,
-    exp: fn(f64) -> f64,
-) {
-    assert!(data.len() >= z * n, "softmax matrix storage too short");
-    // SAFETY: `data` is exclusively borrowed and long enough.
-    unsafe { softmax_cols_range_raw(data.as_mut_ptr(), z, n, c0, c1, exp) }
 }
 
 /// Fused momentum + weight-decay parameter update over flat storage:
@@ -1265,151 +694,5 @@ mod tests {
     #[test]
     fn dot_is_an_ordered_sum() {
         assert_eq!(dot(&[1.0, 2.0, 3.0], &[4.0, 5.0, 6.0]), 32.0);
-    }
-
-    /// A policy that forces the parallel path (no size threshold) with a
-    /// given thread cap.
-    fn par(max_threads: usize) -> KernelPolicy {
-        KernelPolicy { parallel: ParallelMode::On, max_threads, fast_math: false, timing: false }
-    }
-
-    #[test]
-    fn kernel_timing_records_without_perturbing_results() {
-        let mk = |seed: usize, rows: usize, cols: usize| {
-            DenseMatrix::from_fn(rows, cols, |r, c| {
-                ((r * 13 + c * 29 + seed * 5) % 97) as f64 * 0.041 - 1.9
-            })
-        };
-        let a = mk(1, 7, 5);
-        let b = mk(2, 5, 11);
-        let mut plain = mk(3, 7, 11);
-        let mut timed = plain.clone();
-        gemm_acc_with(&KernelPolicy::EXACT_SEQUENTIAL, &mut plain, &a, &b);
-
-        rbm_im_obs::force_enabled(true);
-        let policy = KernelPolicy { timing: true, ..KernelPolicy::EXACT_SEQUENTIAL };
-        let before = rbm_im_obs::global().snapshot().merged_histogram("rbm_kernel_seconds").count();
-        gemm_acc_with(&policy, &mut timed, &a, &b);
-        sigmoid_matrix_with(&policy, &mut timed);
-        let after = rbm_im_obs::global().snapshot().merged_histogram("rbm_kernel_seconds").count();
-        rbm_im_obs::force_enabled(false);
-
-        assert_eq!(after - before, 2, "one observation per timed kernel call");
-        sigmoid_matrix_with(&KernelPolicy::EXACT_SEQUENTIAL, &mut plain);
-        assert_eq!(plain.data, timed.data, "timing must never perturb kernel results");
-    }
-
-    #[test]
-    fn parallel_kernels_are_bitwise_identical_to_sequential() {
-        rayon::ensure_pool(4);
-        let (v, h, n) = (23, 9, 37);
-        let mk = |seed: usize, rows: usize, cols: usize| {
-            DenseMatrix::from_fn(rows, cols, |r, c| {
-                ((r * 31 + c * 17 + seed * 7) % 101) as f64 * 0.037 - 1.7
-            })
-        };
-        let a = mk(1, v, h);
-        let b = mk(2, h, n);
-        let a2 = mk(3, v, 5);
-        let b2 = mk(4, 5, n);
-        let x0 = mk(5, v, n);
-        let xk = mk(6, v, n);
-        let h0 = mk(7, h, n);
-        let hk = mk(8, h, n);
-        let weights: Vec<f64> = (0..n).map(|i| 0.5 + (i % 7) as f64 * 0.1).collect();
-        for threads in [1, 2, 3, 4] {
-            let policy = par(threads);
-
-            let mut c_seq = mk(9, v, n);
-            let mut c_par = c_seq.clone();
-            gemm_acc(&mut c_seq, &a, &b);
-            gemm_acc_with(&policy, &mut c_par, &a, &b);
-            assert_eq!(c_seq, c_par, "gemm_acc parallel@{threads} must be bitwise identical");
-
-            let mut c_seq = mk(10, v, n);
-            let mut c_par = c_seq.clone();
-            gemm2_acc(&mut c_seq, &a, &b, &a2, &b2);
-            gemm2_acc_with(&policy, &mut c_par, &a, &b, &a2, &b2);
-            assert_eq!(c_seq, c_par, "gemm2_acc parallel@{threads} must be bitwise identical");
-
-            let mut d_seq = mk(11, v, h);
-            let mut d_par = d_seq.clone();
-            cdk_weight_gradient(&mut d_seq, &weights, &x0, &h0, &xk, &hk);
-            cdk_weight_gradient_with(&policy, &mut d_par, &weights, &x0, &h0, &xk, &hk);
-            assert_eq!(d_seq, d_par, "cdk weight parallel@{threads} must be bitwise identical");
-
-            let mut bias_seq: Vec<f64> = (0..v).map(|i| i as f64 * 0.01).collect();
-            let mut bias_par = bias_seq.clone();
-            cdk_bias_gradient(&mut bias_seq, &weights, &x0, &xk);
-            cdk_bias_gradient_with(&policy, &mut bias_par, &weights, &x0, &xk);
-            assert_eq!(bias_seq, bias_par, "cdk bias parallel@{threads} must be bitwise identical");
-
-            let mut s_seq = mk(12, h, n);
-            let mut s_par = s_seq.clone();
-            sigmoid_in_place(s_seq.as_mut_slice());
-            sigmoid_matrix_with(&policy, &mut s_par);
-            assert_eq!(s_seq, s_par, "sigmoid parallel@{threads} must be bitwise identical");
-
-            let mut z_seq = mk(13, 4, n);
-            let mut z_par = z_seq.clone();
-            softmax_cols_in_place(&mut z_seq);
-            softmax_cols_in_place_with(&policy, &mut z_par);
-            assert_eq!(z_seq, z_par, "softmax parallel@{threads} must be bitwise identical");
-        }
-    }
-
-    #[test]
-    fn auto_mode_small_kernels_stay_sequential_and_exact() {
-        // Below the work threshold Auto must not engage the pool; results
-        // are (trivially) bitwise-identical.
-        let policy = KernelPolicy::default();
-        let a = DenseMatrix::from_fn(3, 4, |r, c| (r + c) as f64 * 0.3);
-        let b = DenseMatrix::from_fn(4, 5, |r, c| (r * 5 + c) as f64 * 0.1);
-        let mut c1 = DenseMatrix::zeros(3, 5);
-        let mut c2 = DenseMatrix::zeros(3, 5);
-        gemm_acc(&mut c1, &a, &b);
-        gemm_acc_with(&policy, &mut c2, &a, &b);
-        assert_eq!(c1, c2);
-    }
-
-    #[test]
-    fn fast_exp_is_within_tolerance() {
-        // Dense sweep over the sigmoid/softmax-relevant range plus
-        // saturation edges; relative error must stay far inside the 1e-9
-        // fast-math budget.
-        let mut worst = 0.0f64;
-        let mut x = -60.0f64;
-        while x <= 60.0 {
-            let exact = x.exp();
-            let fast = fast_exp(x);
-            let rel = ((fast - exact) / exact).abs();
-            worst = worst.max(rel);
-            x += 0.00137;
-        }
-        assert!(worst < 1e-13, "fast_exp worst relative error {worst:e} exceeds 1e-13");
-        // Saturation: huge arguments must stay finite/zero-ish and ordered.
-        assert!(fast_exp(1000.0) > 1e300);
-        assert!(fast_exp(-1000.0) >= 0.0 && fast_exp(-1000.0) < 1e-300);
-        assert!(fast_exp(0.0) == 1.0 || (fast_exp(0.0) - 1.0).abs() < 1e-15);
-        assert!(fast_exp(f64::NAN).is_nan());
-    }
-
-    #[test]
-    fn fast_sigmoid_and_softmax_are_within_1e_9() {
-        let policy = KernelPolicy { fast_math: true, ..KernelPolicy::default() };
-        let mut exact = DenseMatrix::from_fn(7, 33, |r, c| (r as f64 - 3.0) * 2.5 + c as f64 * 0.3);
-        let mut fast = exact.clone();
-        sigmoid_in_place(exact.as_mut_slice());
-        sigmoid_matrix_with(&policy, &mut fast);
-        for (e, f) in exact.as_slice().iter().zip(fast.as_slice()) {
-            assert!((e - f).abs() <= 1e-9, "sigmoid fast-math diverged: {e} vs {f}");
-        }
-        let mut exact = DenseMatrix::from_fn(5, 21, |r, c| (r * 13 + c) as f64 * 0.7 - 20.0);
-        let mut fast = exact.clone();
-        softmax_cols_in_place(&mut exact);
-        softmax_cols_in_place_with(&policy, &mut fast);
-        for (e, f) in exact.as_slice().iter().zip(fast.as_slice()) {
-            assert!((e - f).abs() <= 1e-9, "softmax fast-math diverged: {e} vs {f}");
-        }
     }
 }

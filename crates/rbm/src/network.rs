@@ -32,10 +32,9 @@ use rand::{Rng, SeedableRng};
 use rbm_im_streams::{Instance, MiniBatch};
 
 use crate::linalg::{
-    axpy, cdk_bias_gradient_with, cdk_weight_gradient_with, dot, gemm2_acc_with, gemm_acc_with,
-    gemv_acc, gemv_t_acc, momentum_update, sigmoid_in_place, sigmoid_matrix_with,
-    softmax_cols_in_place_with, softmax_in_place, transpose_into, DenseMatrix, KernelPolicy,
-    ParallelMode,
+    axpy, cdk_bias_gradient, cdk_weight_gradient, dot, gemm2_acc, gemm_acc, gemv_acc, gemv_t_acc,
+    momentum_update, sigmoid_in_place, softmax_cols_in_place, softmax_in_place, transpose_into,
+    DenseMatrix,
 };
 
 /// Hyper-parameters of the RBM network (the RBM-IM rows of Tab. II).
@@ -63,24 +62,9 @@ pub struct RbmNetworkConfig {
     pub momentum: f64,
     /// RNG seed.
     pub seed: u64,
-    /// Row-parallelism mode of the batched CD-k kernels. Never changes
-    /// results — parallel-exact is bitwise-identical to sequential at any
-    /// thread count — so it is an execution knob, not a hyper-parameter.
-    /// The default comes from the `RBM_KERNEL_PARALLEL` env var
-    /// (`auto`/`off`/`on`; unset = `Auto`).
-    pub parallel: ParallelMode,
-    /// Upper bound on threads the kernels may use (0 = whole pool); caps,
-    /// never grows, the process-wide `rayon` pool.
-    pub max_threads: usize,
-    /// Opt-in fast-math: the batched sigmoid/softmax kernels use the
-    /// polynomial [`crate::linalg::fast_exp`] instead of `f64::exp`.
-    /// Results are only tolerance-equivalent (≤ 1e-9 per activation) to
-    /// the exact path, so this **does** leave the bitwise contract —
-    /// deliberately, and only when asked for.
-    pub fast_math: bool,
-    /// Opt-in CD-k kernel timing: the policy-dispatched kernels record
-    /// their durations into the global metrics registry as
-    /// `rbm_kernel_seconds{kernel}` (see [`KernelPolicy::timing`]). Pure
+    /// Opt-in CD-k kernel timing: every batched kernel call records its
+    /// duration into the global metrics registry as
+    /// `rbm_kernel_seconds{kernel}` (when [`rbm_im_obs::enabled`]). Pure
     /// observation — never changes results — but it pays a clock read and
     /// a histogram update per kernel call, so it stays off by default.
     pub kernel_timing: bool,
@@ -97,9 +81,6 @@ impl Default for RbmNetworkConfig {
             weight_decay: 1e-4,
             momentum: 0.5,
             seed: 42,
-            parallel: ParallelMode::from_env(),
-            max_threads: 0,
-            fast_math: false,
             kernel_timing: false,
         }
     }
@@ -548,41 +529,27 @@ impl RbmNetwork {
         transpose_into(&mut ws.ut, &self.u);
     }
 
-    /// Kernel execution policy of this network (from the config's
-    /// `parallel` / `max_threads` / `fast_math` knobs). Both the training
-    /// and the scoring batched paths run under this policy, so a fast-math
-    /// network scores and learns in fast-math throughout.
-    #[inline]
-    fn kernel_policy(&self) -> KernelPolicy {
-        KernelPolicy {
-            parallel: self.config.parallel,
-            max_threads: self.config.max_threads,
-            fast_math: self.config.fast_math,
-            timing: self.config.kernel_timing,
-        }
-    }
-
     /// One deterministic mean-field reconstruction of the packed batch
     /// (feature-major: every matrix is layer units × batch, so the batch is
     /// the contiguous SIMD dimension): `h0 = σ(b ⊕ wᵀ·v0 + u·z0)`, then
     /// `vk = σ(a ⊕ w·h0)` and `zk = softmax(c ⊕ uᵀ·h0)`. Requires
     /// `pack_batch_in` and `refresh_transposes_in` to have run on `ws`.
     fn reconstruct_packed_in(&self, ws: &mut Workspace, kept: usize) {
-        let policy = self.kernel_policy();
+        let timing = self.config.kernel_timing;
         ws.h0.reshape_uninit(self.num_hidden, kept);
         ws.h0.broadcast_cols(&self.b);
-        gemm2_acc_with(&policy, &mut ws.h0, &ws.wt, &ws.v0, &self.u, &ws.z0);
-        sigmoid_matrix_with(&policy, &mut ws.h0);
+        timed(timing, "gemm2", || gemm2_acc(&mut ws.h0, &ws.wt, &ws.v0, &self.u, &ws.z0));
+        timed(timing, "sigmoid", || sigmoid_in_place(ws.h0.as_mut_slice()));
 
         ws.vk.reshape_uninit(self.num_visible, kept);
         ws.vk.broadcast_cols(&self.a);
-        gemm_acc_with(&policy, &mut ws.vk, &self.w, &ws.h0);
-        sigmoid_matrix_with(&policy, &mut ws.vk);
+        timed(timing, "gemm", || gemm_acc(&mut ws.vk, &self.w, &ws.h0));
+        timed(timing, "sigmoid", || sigmoid_in_place(ws.vk.as_mut_slice()));
 
         ws.zk.reshape_uninit(self.num_classes, kept);
         ws.zk.broadcast_cols(&self.c);
-        gemm_acc_with(&policy, &mut ws.zk, &ws.ut, &ws.h0);
-        softmax_cols_in_place_with(&policy, &mut ws.zk);
+        timed(timing, "gemm", || gemm_acc(&mut ws.zk, &ws.ut, &ws.h0));
+        timed(timing, "softmax", || softmax_cols_in_place(&mut ws.zk));
     }
 
     /// Trains the network on one mini-batch with CD-k and the class-balanced
@@ -663,11 +630,11 @@ impl RbmNetwork {
         // Positive phase over the whole batch (feature-major):
         // h0 = σ(b ⊕ wᵀ·v0 + u·z0), one fused GEMM pair with the batch as
         // the contiguous inner dimension.
-        let policy = self.kernel_policy();
+        let timing = self.config.kernel_timing;
         ws.h0.reshape_uninit(num_hidden, kept);
         ws.h0.broadcast_cols(&self.b);
-        gemm2_acc_with(&policy, &mut ws.h0, &ws.wt, &ws.v0, &self.u, &ws.z0);
-        sigmoid_matrix_with(&policy, &mut ws.h0);
+        timed(timing, "gemm2", || gemm2_acc(&mut ws.h0, &ws.wt, &ws.v0, &self.u, &ws.z0));
+        timed(timing, "sigmoid", || sigmoid_in_place(ws.h0.as_mut_slice()));
 
         // First hidden sample (instance-major draws walk the columns).
         ws.hs.reshape_uninit(num_hidden, kept);
@@ -688,16 +655,16 @@ impl RbmNetwork {
         ws.hk.reshape_uninit(num_hidden, kept);
         for step in 0..gibbs_steps {
             ws.vk.broadcast_cols(&self.a);
-            gemm_acc_with(&policy, &mut ws.vk, &self.w, &ws.hs);
-            sigmoid_matrix_with(&policy, &mut ws.vk);
+            timed(timing, "gemm", || gemm_acc(&mut ws.vk, &self.w, &ws.hs));
+            timed(timing, "sigmoid", || sigmoid_in_place(ws.vk.as_mut_slice()));
 
             ws.zk.broadcast_cols(&self.c);
-            gemm_acc_with(&policy, &mut ws.zk, &ws.ut, &ws.hs);
-            softmax_cols_in_place_with(&policy, &mut ws.zk);
+            timed(timing, "gemm", || gemm_acc(&mut ws.zk, &ws.ut, &ws.hs));
+            timed(timing, "softmax", || softmax_cols_in_place(&mut ws.zk));
 
             ws.hk.broadcast_cols(&self.b);
-            gemm2_acc_with(&policy, &mut ws.hk, &ws.wt, &ws.vk, &self.u, &ws.zk);
-            sigmoid_matrix_with(&policy, &mut ws.hk);
+            timed(timing, "gemm2", || gemm2_acc(&mut ws.hk, &ws.wt, &ws.vk, &self.u, &ws.zk));
+            timed(timing, "sigmoid", || sigmoid_in_place(ws.hk.as_mut_slice()));
 
             if step + 1 < gibbs_steps {
                 sample_columns(&mut ws.hs, &ws.hk, &ws.uniforms, step + 1, num_hidden);
@@ -721,27 +688,16 @@ impl RbmNetwork {
         ws.dc.resize(num_classes, 0.0);
         ws.instance_weights.clear();
         ws.instance_weights.extend(ws.packed_classes.iter().map(|&c| ws.class_weights[c]));
-        cdk_weight_gradient_with(
-            &policy,
-            &mut ws.dw,
-            &ws.instance_weights,
-            &ws.v0,
-            &ws.h0,
-            &ws.vk,
-            &ws.hk,
-        );
-        cdk_weight_gradient_with(
-            &policy,
-            &mut ws.du,
-            &ws.instance_weights,
-            &ws.h0,
-            &ws.z0,
-            &ws.hk,
-            &ws.zk,
-        );
-        cdk_bias_gradient_with(&policy, &mut ws.da, &ws.instance_weights, &ws.v0, &ws.vk);
-        cdk_bias_gradient_with(&policy, &mut ws.db, &ws.instance_weights, &ws.h0, &ws.hk);
-        cdk_bias_gradient_with(&policy, &mut ws.dc, &ws.instance_weights, &ws.z0, &ws.zk);
+        let weights = &ws.instance_weights;
+        timed(timing, "cdk_weight_grad", || {
+            cdk_weight_gradient(&mut ws.dw, weights, &ws.v0, &ws.h0, &ws.vk, &ws.hk)
+        });
+        timed(timing, "cdk_weight_grad", || {
+            cdk_weight_gradient(&mut ws.du, weights, &ws.h0, &ws.z0, &ws.hk, &ws.zk)
+        });
+        timed(timing, "cdk_bias_grad", || cdk_bias_gradient(&mut ws.da, weights, &ws.v0, &ws.vk));
+        timed(timing, "cdk_bias_grad", || cdk_bias_gradient(&mut ws.db, weights, &ws.h0, &ws.hk));
+        timed(timing, "cdk_bias_grad", || cdk_bias_gradient(&mut ws.dc, weights, &ws.z0, &ws.zk));
         let mut total_error = 0.0;
         for n in 0..kept {
             let weight = ws.instance_weights[n];
@@ -950,6 +906,41 @@ fn normalize_value(lo: f64, hi: f64, x: f64) -> f64 {
         0.5
     } else {
         ((x - lo) / (hi - lo)).clamp(0.0, 1.0)
+    }
+}
+
+/// Runs one batched CD-k kernel call under the opt-in
+/// [`RbmNetworkConfig::kernel_timing`] guard.
+#[inline(always)]
+fn timed(timing: bool, kernel: &'static str, run: impl FnOnce()) {
+    let _timer = KernelTimer::start(timing, kernel);
+    run();
+}
+
+/// Drop-guard of the opt-in kernel timing: armed only when timing is asked
+/// for *and* observability is globally enabled, it records the elapsed
+/// nanoseconds into `rbm_kernel_seconds{kernel}` in the global registry on
+/// drop.
+struct KernelTimer {
+    kernel: &'static str,
+    start: Option<std::time::Instant>,
+}
+
+impl KernelTimer {
+    #[inline]
+    fn start(timing: bool, kernel: &'static str) -> KernelTimer {
+        let start = (timing && rbm_im_obs::enabled()).then(std::time::Instant::now);
+        KernelTimer { kernel, start }
+    }
+}
+
+impl Drop for KernelTimer {
+    fn drop(&mut self) {
+        if let Some(start) = self.start {
+            rbm_im_obs::global()
+                .histogram("rbm_kernel_seconds", &[("kernel", self.kernel)])
+                .record(start.elapsed().as_nanos() as u64);
+        }
     }
 }
 
@@ -1241,6 +1232,45 @@ mod tests {
         // A different shape refuses the snapshot.
         let mut wrong = RbmNetwork::new(7, 3, config);
         assert!(wrong.restore_state(&serde_json::parse_value(&json).unwrap()).is_err());
+    }
+
+    /// Opt-in kernel timing observes, never steers: a network trained and
+    /// scored with `kernel_timing` records one `rbm_kernel_seconds`
+    /// observation per kernel call and stays bitwise-equal to an untimed
+    /// twin.
+    #[test]
+    fn kernel_timing_records_without_perturbing_results() {
+        let mut stream = GaussianMixtureGenerator::balanced(6, 3, 1, 13);
+        let batches: Vec<_> = (0..4).map(|_| flatten(&stream.take_instances(40))).collect();
+        // Scores then trains every batch; logs the per-class errors and the
+        // training error of each.
+        let run = |net: &mut RbmNetwork| {
+            let (mut ws, mut errors, mut log) = (Workspace::default(), Vec::new(), Vec::new());
+            for (features, classes) in &batches {
+                net.reconstruction_errors_flat_with(&mut ws, features, classes, &mut errors);
+                log.extend_from_slice(&errors);
+                log.push(Some(net.train_flat(features, classes)));
+            }
+            log
+        };
+        let observations =
+            || rbm_im_obs::global().snapshot().merged_histogram("rbm_kernel_seconds").count();
+        let mut plain = RbmNetwork::new(6, 3, RbmNetworkConfig::default());
+        let mut timed =
+            RbmNetwork::new(6, 3, RbmNetworkConfig { kernel_timing: true, ..Default::default() });
+
+        rbm_im_obs::force_enabled(true);
+        let before = observations();
+        let timed_log = run(&mut timed);
+        let after = observations();
+        rbm_im_obs::force_enabled(false);
+
+        // CD-1: scoring runs 6 kernels, training 2 + 6 + 5.
+        assert_eq!(after - before, 4 * (6 + 13), "one observation per timed kernel call");
+        assert_eq!(run(&mut plain), timed_log, "timing must never perturb results");
+        assert_eq!(plain.w(), timed.w());
+        assert_eq!(plain.u(), timed.u());
+        assert_eq!((plain.a(), plain.b(), plain.c()), (timed.a(), timed.b(), timed.c()));
     }
 
     #[test]

@@ -11,7 +11,9 @@
 use rbm_im_detectors::{DetectorState, DriftDetector, Observation};
 use rbm_im_harness::pipeline::{PipelineBuilder, RunConfig, RunResult};
 use rbm_im_harness::registry::{DetectorRegistry, DetectorSpec};
-use rbm_im_serve::{IngestError, ServeConfig, ServeEventKind, ServerHandle, StreamClient};
+use rbm_im_serve::{
+    IngestError, ServeConfig, ServeEventKind, ServerHandle, SnapshotSink, StreamClient,
+};
 use rbm_im_streams::generators::RandomRbfGenerator;
 use rbm_im_streams::{DataStream, Instance, ReplayStream, StreamExt, StreamSchema};
 use std::collections::HashMap;
@@ -98,13 +100,19 @@ fn sequential_baseline(server: &ServerHandle, feed: &Feed, run: RunConfig) -> Ru
 }
 
 fn assert_results_match(context: &str, served: &RunResult, sequential: &RunResult) {
-    assert_eq!(served.detections, sequential.detections, "{context}: drift offsets");
-    assert_eq!(served.instances, sequential.instances, "{context}: instance count");
-    assert_eq!(served.pm_auc, sequential.pm_auc, "{context}: pmAUC");
-    assert_eq!(served.pm_gmean, sequential.pm_gmean, "{context}: pmGM");
-    assert_eq!(served.accuracy, sequential.accuracy, "{context}: accuracy");
-    assert_eq!(served.kappa, sequential.kappa, "{context}: kappa");
+    assert_same_outcome(context, served, sequential);
     assert_eq!(served.detector, sequential.detector, "{context}: detector label");
+}
+
+/// Drift offsets and every prequential metric agree bit for bit (the
+/// detector labels may differ).
+fn assert_same_outcome(context: &str, a: &RunResult, b: &RunResult) {
+    assert_eq!(a.detections, b.detections, "{context}: drift offsets");
+    assert_eq!(a.instances, b.instances, "{context}: instance count");
+    assert_eq!(a.pm_auc, b.pm_auc, "{context}: pmAUC");
+    assert_eq!(a.pm_gmean, b.pm_gmean, "{context}: pmGM");
+    assert_eq!(a.accuracy, b.accuracy, "{context}: accuracy");
+    assert_eq!(a.kappa, b.kappa, "{context}: kappa");
 }
 
 /// Ingest a micro-batch with bounded-queue backpressure handled by retry.
@@ -475,16 +483,13 @@ fn server_shard(event: &rbm_im_serve::ServeEvent) -> usize {
     rbm_im_serve::StreamRouter::new(2).shard_of(&event.stream)
 }
 
-/// Kernel execution modes are serving-transparent. A stream attached with
-/// `parallel=on` (row-parallel kernels, pool oversubscribed to 4 workers so
-/// the path genuinely executes on a 1-core runner) is **bitwise identical**
-/// — drift offsets and every prequential metric — to the same stream with
-/// `parallel=off` and to the sequential pipeline; `fastmath=on` keeps the
-/// drift offsets and metrics identical end-to-end as well (its ≤1e-9
-/// activation deviation is far below every drift threshold).
+/// Specs written before the row-parallel and fast-math kernel modes were
+/// removed still serve: `parallel=`, `threads=` and `fastmath=` are
+/// validated and then ignored, so each legacy spec is bitwise-identical —
+/// drift offsets and every prequential metric — to the plain spec and to
+/// the sequential pipeline.
 #[test]
 fn kernel_mode_specs_serve_bitwise_identical_results() {
-    rayon::ensure_pool(4);
     let (schema, instances) = record_drifting_stream(400, 8, 4, 2_500, 4_500);
 
     let serve_spec = |spec_text: &str| -> (RunResult, RunResult) {
@@ -513,24 +518,69 @@ fn kernel_mode_specs_serve_bitwise_identical_results() {
     };
 
     const BASE: &str = "mini_batch=25, warmup=4, persistence=1";
-    let (off, off_seq) = serve_spec(&format!("rbm({BASE}, parallel=off)"));
-    let (on, on_seq) = serve_spec(&format!("rbm({BASE}, parallel=on, threads=2)"));
-    let (fast, fast_seq) = serve_spec(&format!("rbm({BASE}, fastmath=on)"));
+    let (plain, plain_seq) = serve_spec(&format!("rbm({BASE})"));
+    assert_results_match("plain served vs sequential", &plain, &plain_seq);
+    assert!(!plain.detections.is_empty(), "the injected drift must fire for the pin to bite");
 
-    // Each mode individually matches its own sequential ground truth.
-    assert_results_match("parallel=off served vs sequential", &off, &off_seq);
-    assert_results_match("parallel=on served vs sequential", &on, &on_seq);
-    assert_results_match("fastmath=on served vs sequential", &fast, &fast_seq);
-    assert!(!off.detections.is_empty(), "the injected drift must fire for the pin to bite");
-
-    // Cross-mode (labels differ, so compare semantic fields directly):
-    // parallel-exact is bitwise, fast-math keeps identical drift decisions
-    // and therefore identical classifier trajectories.
-    for (context, other) in [("parallel=on", &on), ("fastmath=on", &fast)] {
-        assert_eq!(off.detections, other.detections, "{context}: drift offsets vs exact");
-        assert_eq!(off.pm_auc, other.pm_auc, "{context}: pmAUC vs exact");
-        assert_eq!(off.pm_gmean, other.pm_gmean, "{context}: pmGM vs exact");
-        assert_eq!(off.accuracy, other.accuracy, "{context}: accuracy vs exact");
-        assert_eq!(off.kappa, other.kappa, "{context}: kappa vs exact");
+    for knobs in ["parallel=off", "parallel=on, threads=2", "fastmath=on"] {
+        let (legacy, legacy_seq) = serve_spec(&format!("rbm({BASE}, {knobs})"));
+        assert_results_match(&format!("{knobs} served vs sequential"), &legacy, &legacy_seq);
+        // The labels carry the spec text, so compare the outcome only.
+        assert_same_outcome(&format!("{knobs} vs plain spec"), &legacy, &plain);
     }
+}
+
+/// A stream attached with the removed kernel knobs survives a mid-stream
+/// checkpoint: spilled through a [`SnapshotSink`] and restored into a
+/// fresh server, whose detector is rebuilt from the stored spec, it
+/// finishes bitwise-equal to an uninterrupted run of the same spec.
+#[test]
+fn legacy_kernel_knob_stream_restores_bitwise_from_a_checkpoint() {
+    let (schema, instances) = record_drifting_stream(401, 8, 4, 2_500, 4_500);
+    let spec = DetectorSpec::parse(
+        "rbm(mini_batch=25, warmup=4, persistence=1, parallel=on, threads=2, fastmath=on)",
+    )
+    .unwrap();
+    let start = || {
+        ServerHandle::start(ServeConfig {
+            num_shards: 2,
+            run: run_config(50),
+            ..Default::default()
+        })
+    };
+    let feed = |client: &StreamClient, part: &[Instance]| {
+        for chunk in part.chunks(37) {
+            ingest_all(client, chunk.to_vec());
+        }
+    };
+
+    let server = start();
+    feed(&server.attach("legacy", schema.clone(), &spec).unwrap(), &instances);
+    server.drain();
+    let uninterrupted = server.detach("legacy").unwrap();
+    server.shutdown();
+
+    // The cut falls inside a mini-batch, a detector batch and an ingest
+    // chunk, before the drift.
+    let cut = 2_013;
+    let dir = std::env::temp_dir().join(format!("rbm-serve-legacy-knobs-{}", std::process::id()));
+    let server = start();
+    feed(&server.attach("legacy", schema.clone(), &spec).unwrap(), &instances[..cut]);
+    server.drain();
+    let checkpoint = server.checkpoint_stream("legacy").unwrap();
+    SnapshotSink::new(&dir).unwrap().spill_checkpoint(&checkpoint).unwrap();
+    server.shutdown();
+
+    let restored = SnapshotSink::new(&dir).unwrap().load_checkpoint("legacy").unwrap();
+    let restored = restored.expect("spilled checkpoint present");
+    assert_eq!(restored, checkpoint, "disk round-trip must be lossless");
+    let server = start();
+    feed(&server.restore_stream(&restored).unwrap(), &instances[cut..]);
+    server.drain();
+    let resumed = server.detach("legacy").unwrap();
+    server.shutdown();
+    let _ = std::fs::remove_dir_all(&dir);
+
+    assert!(!uninterrupted.detections.is_empty(), "the injected drift must fire after the cut");
+    assert_results_match("restored vs uninterrupted", &resumed, &uninterrupted);
 }

@@ -6,8 +6,8 @@
 //! Run with: `cargo run -p rbm-im-harness --release --example detector_comparison`
 
 use rbm_im_harness::experiment1::{run_experiment1, BuildConfigSerde, Experiment1Config};
+use rbm_im_harness::pipeline::RunConfig;
 use rbm_im_harness::report::{format_ranking, format_table3};
-use rbm_im_harness::runner::RunConfig;
 
 fn main() {
     let config = Experiment1Config {
