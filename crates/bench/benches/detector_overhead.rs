@@ -4,7 +4,7 @@
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use rbm_im_detectors::Observation;
-use rbm_im_harness::detectors::DetectorKind;
+use rbm_im_harness::registry::{DetectorRegistry, DetectorSpec};
 use rbm_im_streams::registry::{benchmark_by_name, BuildConfig};
 use rbm_im_streams::StreamExt;
 
@@ -19,13 +19,31 @@ fn bench_overhead(c: &mut Criterion) {
     let mut group = c.benchmark_group("detector_overhead");
     group.sample_size(10);
     group.throughput(Throughput::Elements(instances.len() as u64));
-    for detector_kind in DetectorKind::all() {
+    let names = [
+        "WSTD",
+        "RDDM",
+        "FHDDM",
+        "PerfSim",
+        "DDM-OCI",
+        "RBM-IM",
+        "DDM",
+        "EDDM",
+        "ADWIN",
+        "HDDM-A",
+        "HDDM-W",
+        "PageHinkley",
+        "CUSUM",
+        "ECDD",
+    ];
+    for name in names {
         group.bench_with_input(
-            BenchmarkId::new("update", detector_kind.name()),
-            &detector_kind,
-            |b, &kind| {
+            BenchmarkId::new("update", name),
+            &DetectorSpec::new(name),
+            |b, detector_spec| {
                 b.iter(|| {
-                    let mut detector = kind.build(spec.features, spec.classes);
+                    let mut detector = DetectorRegistry::global()
+                        .build(detector_spec, spec.features, spec.classes)
+                        .unwrap();
                     for (i, inst) in instances.iter().enumerate() {
                         let obs = Observation::new(
                             &inst.features,

@@ -2,8 +2,8 @@
 //! and one skew-insensitive baseline, on a compact Scenario-3 stream.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use rbm_im_harness::detectors::DetectorKind;
 use rbm_im_harness::pipeline::{PipelineBuilder, RunConfig};
+use rbm_im_harness::registry::DetectorSpec;
 use rbm_im_streams::scenarios::{scenario3, ScenarioConfig};
 
 fn bench_fig8(c: &mut Criterion) {
@@ -21,14 +21,14 @@ fn bench_fig8(c: &mut Criterion) {
     };
     let run = RunConfig { metric_window: 500, ..Default::default() };
     for classes_with_drift in [1usize, 5] {
-        for detector in [DetectorKind::RbmIm, DetectorKind::DdmOci] {
-            let id = format!("{}-k{}", detector.name(), classes_with_drift);
+        for detector in ["RBM-IM", "DDM-OCI"] {
+            let id = format!("{}-k{}", detector, classes_with_drift);
             group.bench_with_input(BenchmarkId::new("scenario3", id), &(), |b, _| {
                 b.iter(|| {
                     let scenario = scenario3(&config, classes_with_drift);
                     PipelineBuilder::new()
                         .boxed_stream(scenario.stream)
-                        .detector_spec(detector.spec())
+                        .detector_spec(DetectorSpec::new(detector))
                         .config(run)
                         .run()
                         .unwrap()

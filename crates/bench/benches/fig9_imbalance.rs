@@ -2,8 +2,8 @@
 //! Scenario-2 stream for RBM-IM and one standard baseline.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use rbm_im_harness::detectors::DetectorKind;
 use rbm_im_harness::pipeline::{PipelineBuilder, RunConfig};
+use rbm_im_harness::registry::DetectorSpec;
 use rbm_im_streams::scenarios::{scenario2, ScenarioConfig};
 
 fn bench_fig9(c: &mut Criterion) {
@@ -21,14 +21,14 @@ fn bench_fig9(c: &mut Criterion) {
             seed: 13,
             ..Default::default()
         };
-        for detector in [DetectorKind::RbmIm, DetectorKind::Rddm] {
-            let id = format!("{}-ir{}", detector.name(), ir);
+        for detector in ["RBM-IM", "RDDM"] {
+            let id = format!("{}-ir{}", detector, ir);
             group.bench_with_input(BenchmarkId::new("scenario2", id), &(), |b, _| {
                 b.iter(|| {
                     let scenario = scenario2(&config);
                     PipelineBuilder::new()
                         .boxed_stream(scenario.stream)
-                        .detector_spec(detector.spec())
+                        .detector_spec(DetectorSpec::new(detector))
                         .config(run)
                         .run()
                         .unwrap()

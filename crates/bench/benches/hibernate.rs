@@ -67,7 +67,7 @@ fn bench_hibernate(c: &mut Criterion) {
                     next += 1;
                     server.drain();
                 },
-                |_| server.hibernate_stream("bench").unwrap(),
+                |_| server.hibernate_stream("bench", None).unwrap(),
                 BatchSize::PerIteration,
             )
         });
@@ -78,7 +78,7 @@ fn bench_hibernate(c: &mut Criterion) {
         group.bench_with_input(BenchmarkId::new("wake-on-ingest", label), &(), |b, _| {
             b.iter_batched(
                 || {
-                    server.hibernate_stream("bench").unwrap();
+                    server.hibernate_stream("bench", None).unwrap();
                 },
                 |_| {
                     client.ingest(spares[next % spares.len()].clone()).unwrap();
@@ -102,7 +102,7 @@ fn bench_hibernate(c: &mut Criterion) {
 
         // Steady-state cost of a parked stream: encoded checkpoint bytes
         // resident per cold stream (disk-demoted streams drop to ~0 RAM).
-        server.hibernate_stream("bench").unwrap();
+        server.hibernate_stream("bench", None).unwrap();
         println!(
             "hibernate/{label}: {} B resident per in-memory cold stream",
             cold_resident_bytes(&server)

@@ -10,8 +10,8 @@
 //! implementation.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
-use rbm_im_harness::detectors::DetectorKind;
 use rbm_im_harness::pipeline::{PipelineBuilder, RunConfig};
+use rbm_im_harness::registry::DetectorSpec;
 use rbm_im_streams::generators::RandomRbfGenerator;
 use rbm_im_streams::stream::BoundedStream;
 
@@ -22,9 +22,9 @@ fn bench_pipeline_throughput(c: &mut Criterion) {
     let mut group = c.benchmark_group("pipeline_throughput");
     group.sample_size(10);
     group.throughput(Throughput::Elements(INSTANCES));
-    for detector in [DetectorKind::RbmIm, DetectorKind::Adwin] {
+    for detector in ["RBM-IM", "ADWIN"] {
         for batch in [1usize, 50] {
-            let id = format!("{}-batch{}", detector.name(), batch);
+            let id = format!("{}-batch{}", detector, batch);
             let run = RunConfig { metric_window: 500, detector_batch: batch, ..Default::default() };
             group.bench_with_input(BenchmarkId::new("rbf", id), &(), |b, _| {
                 b.iter(|| {
@@ -32,7 +32,7 @@ fn bench_pipeline_throughput(c: &mut Criterion) {
                         BoundedStream::new(RandomRbfGenerator::new(10, 4, 2, 0.0, 5), INSTANCES);
                     PipelineBuilder::new()
                         .stream(stream)
-                        .detector_spec(detector.spec())
+                        .detector_spec(DetectorSpec::new(detector))
                         .config(run)
                         .run()
                         .unwrap()

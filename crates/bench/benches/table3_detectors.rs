@@ -7,8 +7,8 @@
 //! completes in minutes.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use rbm_im_harness::detectors::DetectorKind;
 use rbm_im_harness::pipeline::{PipelineBuilder, RunConfig};
+use rbm_im_harness::registry::paper_detectors;
 use rbm_im_streams::registry::{benchmark_by_name, BuildConfig};
 
 fn bench_table3(c: &mut Criterion) {
@@ -19,12 +19,12 @@ fn bench_table3(c: &mut Criterion) {
         BuildConfig { seed: 42, scale_divisor: 1_000, n_drifts: 1, dynamic_imbalance: true };
     let run = RunConfig { metric_window: 500, max_instances: Some(2_000), ..Default::default() };
     let spec = benchmark_by_name("RBF5").expect("RBF5 exists");
-    for detector in DetectorKind::paper_detectors() {
-        group.bench_with_input(BenchmarkId::new("rbf5", detector.name()), &detector, |b, &d| {
+    for detector in paper_detectors() {
+        group.bench_with_input(BenchmarkId::new("rbf5", detector.label()), &detector, |b, d| {
             b.iter(|| {
                 PipelineBuilder::new()
                     .boxed_stream(spec.build(&build))
-                    .detector_spec(d.spec())
+                    .detector_spec(d.clone())
                     .config(run)
                     .run()
                     .unwrap()

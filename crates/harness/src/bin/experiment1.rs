@@ -12,7 +12,6 @@
 //! finishes in minutes. The grid runs on all cores by default; `--threads`
 //! pins the rayon worker count (results are identical either way).
 
-use rbm_im_harness::detectors::DetectorKind;
 use rbm_im_harness::experiment1::{run_experiment1, Experiment1Config};
 use rbm_im_harness::report::{format_ranking, format_table3, to_json};
 
@@ -88,17 +87,17 @@ fn main() {
     println!("{}", format_table3(&result, "pmGM"));
     println!("{}", format_ranking(&result, "pmAUC", 0.05));
     println!("{}", format_ranking(&result, "pmGM", 0.05));
-    for opponent in [DetectorKind::PerfSim, DetectorKind::DdmOci] {
+    for opponent in ["PerfSim", "DDM-OCI"] {
         match result.bayesian_vs(opponent, 1.0, 20_000, 42) {
             Ok(outcome) => println!(
                 "Bayesian signed test RBM-IM vs {}: p(RBM-IM better) = {:.3}, p(rope) = {:.3}, p({} better) = {:.3}",
-                opponent.name(),
+                opponent,
                 outcome.p_left,
                 outcome.p_rope,
-                opponent.name(),
+                opponent,
                 outcome.p_right
             ),
-            Err(e) => println!("Bayesian signed test vs {} unavailable: {e}", opponent.name()),
+            Err(e) => println!("Bayesian signed test vs {} unavailable: {e}", opponent),
         }
     }
     if let Some(path) = json_path {

@@ -64,13 +64,12 @@ const MIN_MATRIX_ROWS: usize = 4;
 /// is the compact framing documented at the [module level](self), sized
 /// for frequent background spills. [`decode`] sniffs the format from the
 /// first bytes, so readers never need to be told which codec wrote a file.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum CheckpointCodec {
-    /// Human-readable JSON (the pre-codec spill format).
+    /// Human-readable JSON (the pre-codec spill format, now a debugging
+    /// dump).
     Json,
-    /// Compact versioned binary framing (the default for background
-    /// spills).
-    #[default]
+    /// Compact versioned binary framing (what every spill writes).
     Binary,
 }
 

@@ -8,9 +8,8 @@
 //! with the core count while the output stays byte-identical to a
 //! single-threaded run.
 
-use crate::detectors::DetectorKind;
 use crate::pipeline::{run_grid_observed, GridStream, RunConfig, RunResult};
-use crate::registry::DetectorRegistry;
+use crate::registry::{paper_detectors, DetectorSpec};
 use rbm_im_stats::bayesian::{bayesian_signed_test, BayesianSignedOutcome};
 use rbm_im_stats::friedman::{bonferroni_dunn_critical_difference, friedman_test, FriedmanResult};
 use rbm_im_streams::registry::{all_benchmarks, BenchmarkSpec, BuildConfig};
@@ -20,7 +19,7 @@ use serde::{Deserialize, Serialize};
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct Experiment1Config {
     /// Detectors to compare (defaults to the paper's six).
-    pub detectors: Vec<DetectorKind>,
+    pub detectors: Vec<DetectorSpec>,
     /// Stream construction (seed, length scaling, drift count, dynamic IR).
     pub build: BuildConfigSerde,
     /// Prequential run settings.
@@ -57,7 +56,7 @@ impl From<BuildConfigSerde> for BuildConfig {
 impl Default for Experiment1Config {
     fn default() -> Self {
         Experiment1Config {
-            detectors: DetectorKind::paper_detectors(),
+            detectors: paper_detectors(),
             build: BuildConfigSerde {
                 seed: 42,
                 scale_divisor: 20,
@@ -78,7 +77,7 @@ pub struct Experiment1Result {
     /// Benchmark names in evaluation order.
     pub benchmarks: Vec<String>,
     /// Detector order used for the rank analysis.
-    pub detectors: Vec<DetectorKind>,
+    pub detectors: Vec<DetectorSpec>,
 }
 
 impl Experiment1Result {
@@ -96,12 +95,13 @@ impl Experiment1Result {
         self.detectors
             .iter()
             .map(|d| {
+                let label = d.label();
                 self.benchmarks
                     .iter()
                     .map(|b| {
                         self.runs
                             .iter()
-                            .find(|r| r.detector == d.name() && &r.stream == b)
+                            .find(|r| r.detector == label && &r.stream == b)
                             .map(&metric)
                             .unwrap_or(f64::NAN)
                     })
@@ -125,42 +125,37 @@ impl Experiment1Result {
         bonferroni_dunn_critical_difference(self.detectors.len(), self.benchmarks.len(), alpha)
     }
 
-    /// Bayesian signed test of RBM-IM against another detector on pmAUC
-    /// (Figs. 6–7; the rope is expressed in pmAUC percentage points).
+    /// Bayesian signed test of RBM-IM against the detector labelled
+    /// `opponent` on pmAUC (Figs. 6–7; the rope is expressed in pmAUC
+    /// percentage points).
     pub fn bayesian_vs(
         &self,
-        opponent: DetectorKind,
+        opponent: &str,
         rope: f64,
         samples: usize,
         seed: u64,
     ) -> rbm_im_stats::Result<BayesianSignedOutcome> {
         let matrix = self.pm_auc_matrix();
-        let rbm_idx = self
-            .detectors
-            .iter()
-            .position(|d| *d == DetectorKind::RbmIm)
-            .expect("RBM-IM must be part of the comparison");
-        let opp_idx = self
-            .detectors
-            .iter()
-            .position(|d| *d == opponent)
-            .expect("opponent must be part of the comparison");
+        let index = |label: &str| self.detectors.iter().position(|d| d.label() == label);
+        let rbm_idx = index("RBM-IM").expect("RBM-IM must be part of the comparison");
+        let opp_idx = index(opponent).expect("opponent must be part of the comparison");
         bayesian_signed_test(&matrix[rbm_idx], &matrix[opp_idx], rope, samples, seed)
     }
 
-    /// Average detector update time in seconds, per detector.
-    pub fn average_update_seconds(&self) -> Vec<(DetectorKind, f64)> {
+    /// Average detector update time in seconds, per detector label.
+    pub fn average_update_seconds(&self) -> Vec<(String, f64)> {
         self.detectors
             .iter()
             .map(|d| {
+                let label = d.label();
                 let rows: Vec<&RunResult> =
-                    self.runs.iter().filter(|r| r.detector == d.name()).collect();
+                    self.runs.iter().filter(|r| r.detector == label).collect();
                 let avg = if rows.is_empty() {
                     0.0
                 } else {
                     rows.iter().map(|r| r.detector_update_seconds).sum::<f64>() / rows.len() as f64
                 };
-                (*d, avg)
+                (label, avg)
             })
             .collect()
     }
@@ -189,15 +184,13 @@ pub fn run_experiment1(
 ) -> Experiment1Result {
     let build: BuildConfig = config.build.into();
     let specs = selected_benchmarks(config);
-    let detectors: Vec<_> = config.detectors.iter().map(|d| d.spec()).collect();
     let streams: Vec<GridStream> =
         specs.iter().map(|s| GridStream::from_benchmark(s.clone(), build)).collect();
     let progress = std::sync::Mutex::new(progress);
-    let runs =
-        run_grid_observed(DetectorRegistry::global(), &detectors, &streams, &config.run, |run| {
-            (progress.lock().expect("progress sink poisoned"))(run)
-        })
-        .expect("every DetectorKind resolves against the default registry");
+    let runs = run_grid_observed(&config.detectors, &streams, &config.run, |run| {
+        (progress.lock().expect("progress sink poisoned"))(run)
+    })
+    .expect("every configured detector resolves against the default registry");
     Experiment1Result {
         runs,
         benchmarks: specs.iter().map(|s| s.name.clone()).collect(),
@@ -213,7 +206,7 @@ mod tests {
     /// exercised inside unit tests.
     fn tiny_config() -> Experiment1Config {
         Experiment1Config {
-            detectors: vec![DetectorKind::Fhddm, DetectorKind::DdmOci, DetectorKind::RbmIm],
+            detectors: ["FHDDM", "DDM-OCI", "RBM-IM"].map(DetectorSpec::new).to_vec(),
             build: BuildConfigSerde {
                 seed: 7,
                 scale_divisor: 400,
@@ -248,7 +241,7 @@ mod tests {
         assert_eq!(friedman.average_ranks.len(), 3);
         let cd = result.critical_difference(0.05).unwrap();
         assert!(cd > 0.0);
-        let bayes = result.bayesian_vs(DetectorKind::DdmOci, 1.0, 2_000, 3).unwrap();
+        let bayes = result.bayesian_vs("DDM-OCI", 1.0, 2_000, 3).unwrap();
         let total = bayes.p_left + bayes.p_rope + bayes.p_right;
         assert!((total - 1.0).abs() < 1e-9);
         let timings = result.average_update_seconds();

@@ -5,9 +5,8 @@
 //! smallest classes first) and reports the pmAUC of the classifier driven by
 //! each detector. The fewer classes drift, the harder the detection.
 
-use crate::detectors::DetectorKind;
 use crate::pipeline::{run_grid_observed, GridStream, RunConfig, RunResult};
-use crate::registry::DetectorRegistry;
+use crate::registry::{paper_detectors, DetectorSpec};
 use rbm_im_streams::drift::DriftKind;
 use rbm_im_streams::scenarios::{scenario3, ScenarioConfig};
 use serde::{Deserialize, Serialize};
@@ -16,7 +15,7 @@ use serde::{Deserialize, Serialize};
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct Experiment2Config {
     /// Detectors to evaluate.
-    pub detectors: Vec<DetectorKind>,
+    pub detectors: Vec<DetectorSpec>,
     /// Number of features of the synthetic stream.
     pub num_features: usize,
     /// Number of classes M; the sweep runs over 1..=M drifting classes.
@@ -38,7 +37,7 @@ pub struct Experiment2Config {
 impl Default for Experiment2Config {
     fn default() -> Self {
         Experiment2Config {
-            detectors: DetectorKind::paper_detectors(),
+            detectors: paper_detectors(),
             num_features: 20,
             num_classes: 5,
             length: 50_000,
@@ -66,23 +65,28 @@ pub struct Experiment2Result {
     /// The swept points, in increasing number of drifting classes.
     pub points: Vec<LocalDriftPoint>,
     /// Detector order.
-    pub detectors: Vec<DetectorKind>,
+    pub detectors: Vec<DetectorSpec>,
 }
 
 impl Experiment2Result {
-    /// pmAUC series of one detector, indexed like `points`.
-    pub fn series(&self, detector: DetectorKind) -> Vec<f64> {
-        self.points
-            .iter()
-            .map(|p| {
-                p.runs
-                    .iter()
-                    .find(|r| r.detector == detector.name())
-                    .map(|r| r.pm_auc)
-                    .unwrap_or(f64::NAN)
-            })
-            .collect()
+    /// pmAUC series of the detector labelled `detector`, indexed like
+    /// `points`.
+    pub fn series(&self, detector: &str) -> Vec<f64> {
+        pm_auc_series(self.points.iter().map(|p| p.runs.as_slice()), detector)
     }
+}
+
+/// The pmAUC of the run labelled `detector` at each sweep point (`NaN`
+/// where a point has no such run) — the series of Figs. 8 and 9.
+pub(crate) fn pm_auc_series<'a>(
+    points: impl Iterator<Item = &'a [RunResult]>,
+    detector: &str,
+) -> Vec<f64> {
+    points
+        .map(|runs| {
+            runs.iter().find(|r| r.detector == detector).map(|r| r.pm_auc).unwrap_or(f64::NAN)
+        })
+        .collect()
 }
 
 /// Runs the local-drift sweep: all (sweep point × detector) cells form one
@@ -97,7 +101,6 @@ pub fn run_experiment2(
     } else {
         config.classes_with_drift.clone()
     };
-    let detectors: Vec<_> = config.detectors.iter().map(|d| d.spec()).collect();
     let streams: Vec<GridStream> = sweep
         .iter()
         .map(|&k| {
@@ -119,14 +122,13 @@ pub fn run_experiment2(
     let k_by_name: std::collections::BTreeMap<String, usize> =
         streams.iter().map(|s| s.name.clone()).zip(sweep.iter().copied()).collect();
     let progress = std::sync::Mutex::new(progress);
-    let results =
-        run_grid_observed(DetectorRegistry::global(), &detectors, &streams, &config.run, |run| {
-            let k = k_by_name[&run.stream];
-            (progress.lock().expect("progress sink poisoned"))(k, run);
-        })
-        .expect("every DetectorKind resolves against the default registry");
+    let results = run_grid_observed(&config.detectors, &streams, &config.run, |run| {
+        let k = k_by_name[&run.stream];
+        (progress.lock().expect("progress sink poisoned"))(k, run);
+    })
+    .expect("every configured detector resolves against the default registry");
     let mut points = Vec::new();
-    for (chunk, &k) in results.chunks(detectors.len().max(1)).zip(sweep.iter()) {
+    for (chunk, &k) in results.chunks(config.detectors.len().max(1)).zip(sweep.iter()) {
         points.push(LocalDriftPoint { classes_with_drift: k, runs: chunk.to_vec() });
     }
     Experiment2Result { points, detectors: config.detectors.clone() }
@@ -138,7 +140,7 @@ mod tests {
 
     fn tiny_config() -> Experiment2Config {
         Experiment2Config {
-            detectors: vec![DetectorKind::Fhddm, DetectorKind::RbmIm],
+            detectors: vec![DetectorSpec::new("FHDDM"), DetectorSpec::new("RBM-IM")],
             num_features: 8,
             num_classes: 4,
             length: 4_000,
@@ -158,7 +160,7 @@ mod tests {
         assert_eq!(result.points.len(), 2);
         assert_eq!(result.points[0].classes_with_drift, 1);
         assert_eq!(result.points[1].classes_with_drift, 4);
-        let series = result.series(DetectorKind::RbmIm);
+        let series = result.series("RBM-IM");
         assert_eq!(series.len(), 2);
         assert!(series.iter().all(|v| v.is_finite()));
     }

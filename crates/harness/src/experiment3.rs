@@ -5,9 +5,9 @@
 //! drift, dynamic imbalance and class-role switching active (Scenario 2),
 //! and reports the pmAUC of the classifier driven by each detector.
 
-use crate::detectors::DetectorKind;
+use crate::experiment2::pm_auc_series;
 use crate::pipeline::{run_grid_observed, GridStream, RunConfig, RunResult};
-use crate::registry::DetectorRegistry;
+use crate::registry::{paper_detectors, DetectorSpec};
 use rbm_im_streams::drift::DriftKind;
 use rbm_im_streams::scenarios::{scenario2, ScenarioConfig};
 use serde::{Deserialize, Serialize};
@@ -16,7 +16,7 @@ use serde::{Deserialize, Serialize};
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct Experiment3Config {
     /// Detectors to evaluate.
-    pub detectors: Vec<DetectorKind>,
+    pub detectors: Vec<DetectorSpec>,
     /// Number of features of the synthetic stream.
     pub num_features: usize,
     /// Number of classes.
@@ -36,7 +36,7 @@ pub struct Experiment3Config {
 impl Default for Experiment3Config {
     fn default() -> Self {
         Experiment3Config {
-            detectors: DetectorKind::paper_detectors(),
+            detectors: paper_detectors(),
             num_features: 20,
             num_classes: 5,
             length: 50_000,
@@ -63,22 +63,14 @@ pub struct Experiment3Result {
     /// Swept points in increasing imbalance ratio.
     pub points: Vec<ImbalancePoint>,
     /// Detector order.
-    pub detectors: Vec<DetectorKind>,
+    pub detectors: Vec<DetectorSpec>,
 }
 
 impl Experiment3Result {
-    /// pmAUC series of one detector, aligned with `points`.
-    pub fn series(&self, detector: DetectorKind) -> Vec<f64> {
-        self.points
-            .iter()
-            .map(|p| {
-                p.runs
-                    .iter()
-                    .find(|r| r.detector == detector.name())
-                    .map(|r| r.pm_auc)
-                    .unwrap_or(f64::NAN)
-            })
-            .collect()
+    /// pmAUC series of the detector labelled `detector`, aligned with
+    /// `points`.
+    pub fn series(&self, detector: &str) -> Vec<f64> {
+        pm_auc_series(self.points.iter().map(|p| p.runs.as_slice()), detector)
     }
 }
 
@@ -94,7 +86,6 @@ pub fn run_experiment3(
     } else {
         config.imbalance_ratios.clone()
     };
-    let detectors: Vec<_> = config.detectors.iter().map(|d| d.spec()).collect();
     let streams: Vec<GridStream> = ratios
         .iter()
         .map(|&ir| {
@@ -114,14 +105,13 @@ pub fn run_experiment3(
     let ir_by_name: std::collections::BTreeMap<String, f64> =
         streams.iter().map(|s| s.name.clone()).zip(ratios.iter().copied()).collect();
     let progress = std::sync::Mutex::new(progress);
-    let results =
-        run_grid_observed(DetectorRegistry::global(), &detectors, &streams, &config.run, |run| {
-            let ir = ir_by_name[&run.stream];
-            (progress.lock().expect("progress sink poisoned"))(ir, run);
-        })
-        .expect("every DetectorKind resolves against the default registry");
+    let results = run_grid_observed(&config.detectors, &streams, &config.run, |run| {
+        let ir = ir_by_name[&run.stream];
+        (progress.lock().expect("progress sink poisoned"))(ir, run);
+    })
+    .expect("every configured detector resolves against the default registry");
     let mut points = Vec::new();
-    for (chunk, &ir) in results.chunks(detectors.len().max(1)).zip(ratios.iter()) {
+    for (chunk, &ir) in results.chunks(config.detectors.len().max(1)).zip(ratios.iter()) {
         points.push(ImbalancePoint { imbalance_ratio: ir, runs: chunk.to_vec() });
     }
     Experiment3Result { points, detectors: config.detectors.clone() }
@@ -134,7 +124,7 @@ mod tests {
     #[test]
     fn sweep_produces_one_point_per_ratio() {
         let config = Experiment3Config {
-            detectors: vec![DetectorKind::Ddm, DetectorKind::RbmIm],
+            detectors: vec![DetectorSpec::new("DDM"), DetectorSpec::new("RBM-IM")],
             num_features: 8,
             num_classes: 3,
             length: 4_000,
@@ -148,7 +138,7 @@ mod tests {
         assert_eq!(calls, 4);
         assert_eq!(result.points.len(), 2);
         assert_eq!(result.points[0].imbalance_ratio, 10.0);
-        let series = result.series(DetectorKind::RbmIm);
+        let series = result.series("RBM-IM");
         assert_eq!(series.len(), 2);
         assert!(series.iter().all(|v| v.is_finite()));
     }

@@ -13,8 +13,8 @@
 //!   spec); new detectors register without touching this crate;
 //! * [`pipeline::run_grid`] — the rayon-parallel detectors × streams grid
 //!   with deterministic per-cell seeding that experiments 1–3 are built on;
-//! * [`detectors::DetectorKind`] — compat shim enumerating the paper's
-//!   line-up, resolved through the registry.
+//! * [`registry::paper_detectors`] — the paper's Table III line-up as six
+//!   specs labelled with the table's column headers.
 //!
 //! | Paper artifact | Module | Binary / bench |
 //! |---|---|---|
@@ -35,7 +35,6 @@
 
 pub mod ablation;
 pub mod checkpoint;
-pub mod detectors;
 pub mod experiment1;
 pub mod experiment2;
 pub mod experiment3;
@@ -46,7 +45,6 @@ pub mod stepper;
 pub mod tuning;
 
 pub use checkpoint::{CheckpointError, PipelineCheckpoint};
-pub use detectors::DetectorKind;
 pub use pipeline::{run_grid, GridStream, PipelineBuilder, PipelineEvent, RunConfig, RunResult};
 pub use registry::{DetectorRegistry, DetectorSpec};
 pub use stepper::PipelineStepper;

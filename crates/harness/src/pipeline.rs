@@ -2,9 +2,7 @@
 //! metrics, composed through [`PipelineBuilder`] and scaled out through the
 //! rayon-parallel [`run_grid`].
 //!
-//! This replaces the old `run_detector_on_stream` free function, which
-//! hard-coded the classifier, allocated fresh vectors in the hot loop and
-//! forced every caller through the closed `DetectorKind` enum. The pipeline
+//! The pipeline
 //!
 //! * is generic over the [`OnlineClassifier`] driving the detector (the
 //!   paper's CSPT by default),
@@ -419,25 +417,14 @@ pub fn run_grid(
     streams: &[GridStream],
     config: &RunConfig,
 ) -> Result<Vec<RunResult>, PipelineError> {
-    run_grid_with(DetectorRegistry::global(), detectors, streams, config)
+    run_grid_observed(detectors, streams, config, |_| {})
 }
 
-/// [`run_grid`] against an explicit registry.
-pub fn run_grid_with(
-    registry: &DetectorRegistry,
-    detectors: &[DetectorSpec],
-    streams: &[GridStream],
-    config: &RunConfig,
-) -> Result<Vec<RunResult>, PipelineError> {
-    run_grid_observed(registry, detectors, streams, config, |_| {})
-}
-
-/// [`run_grid_with`] plus a streaming progress callback: `on_cell` fires on
-/// a worker thread as each cell *completes* (completion order, not grid
+/// [`run_grid`] plus a streaming progress callback: `on_cell` fires on a
+/// worker thread as each cell *completes* (completion order, not grid
 /// order — long-running grids get live progress instead of silence). The
 /// returned `Vec` is still in deterministic row-major grid order.
 pub fn run_grid_observed(
-    registry: &DetectorRegistry,
     detectors: &[DetectorSpec],
     streams: &[GridStream],
     config: &RunConfig,
@@ -451,7 +438,6 @@ pub fn run_grid_observed(
             let grid_stream = &streams[stream_index];
             let spec = &detectors[detector_index];
             let result = PipelineBuilder::new()
-                .registry(registry)
                 .boxed_stream(grid_stream.build())
                 .stream_label(grid_stream.name.clone())
                 .detector_spec(spec.clone())
@@ -469,7 +455,6 @@ pub fn run_grid_observed(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::detectors::DetectorKind;
     use rbm_im_classifiers::GaussianNaiveBayes;
     use rbm_im_streams::generators::RandomRbfGenerator;
     use rbm_im_streams::scenarios::{scenario1, ScenarioConfig};
@@ -493,7 +478,7 @@ mod tests {
         let scenario = scenario1(&small_scenario());
         let result = PipelineBuilder::new()
             .boxed_stream(scenario.stream)
-            .detector_spec(DetectorKind::RbmIm.spec())
+            .detector_spec(DetectorSpec::new("RBM-IM"))
             .config(RunConfig { metric_window: 500, ..Default::default() })
             .run()
             .unwrap();
@@ -528,7 +513,7 @@ mod tests {
         let gen = RandomRbfGenerator::new(5, 3, 2, 0.0, 3);
         let result = PipelineBuilder::new()
             .stream(BoundedStream::new(gen, 2_000))
-            .detector_spec(DetectorKind::Fhddm.spec())
+            .detector_spec(DetectorSpec::new("FHDDM"))
             .config(RunConfig { metric_window: 500, ..Default::default() })
             .run()
             .unwrap();
@@ -537,7 +522,7 @@ mod tests {
         let scenario = scenario1(&small_scenario());
         let result = PipelineBuilder::new()
             .boxed_stream(scenario.stream)
-            .detector_spec(DetectorKind::Ddm.spec())
+            .detector_spec(DetectorSpec::new("DDM"))
             .config(RunConfig {
                 metric_window: 200,
                 max_instances: Some(1_000),
@@ -555,7 +540,7 @@ mod tests {
         let snapshots = RefCell::new(0usize);
         let result = PipelineBuilder::new()
             .boxed_stream(scenario.stream)
-            .detector_spec(DetectorKind::Adwin.spec())
+            .detector_spec(DetectorSpec::new("ADWIN"))
             .config(RunConfig {
                 metric_window: 500,
                 snapshot_every: Some(1_000),
@@ -580,7 +565,7 @@ mod tests {
             .classifier_with(|schema| {
                 GaussianNaiveBayes::new(schema.num_features, schema.num_classes)
             })
-            .detector_spec(DetectorKind::DdmOci.spec())
+            .detector_spec(DetectorSpec::new("DDM-OCI"))
             .config(RunConfig { metric_window: 500, ..Default::default() })
             .run()
             .unwrap();
@@ -593,7 +578,7 @@ mod tests {
         let scenario = scenario1(&small_scenario());
         let batched = PipelineBuilder::new()
             .boxed_stream(scenario.stream)
-            .detector_spec(DetectorKind::RbmIm.spec())
+            .detector_spec(DetectorSpec::new("RBM-IM"))
             .config(RunConfig { metric_window: 500, detector_batch: 50, ..Default::default() })
             .run()
             .unwrap();
@@ -603,7 +588,7 @@ mod tests {
 
     #[test]
     fn grid_results_are_row_major_and_labelled() {
-        let detectors = vec![DetectorKind::Fhddm.spec(), DetectorKind::RbmIm.spec()];
+        let detectors = vec![DetectorSpec::new("FHDDM"), DetectorSpec::new("RBM-IM")];
         let streams: Vec<GridStream> = ["alpha", "beta"]
             .iter()
             .map(|name| {
@@ -637,7 +622,7 @@ mod tests {
         let run = |reset_on_drift: bool| {
             PipelineBuilder::new()
                 .stream(make_stream())
-                .detector_spec(DetectorKind::Adwin.spec())
+                .detector_spec(DetectorSpec::new("ADWIN"))
                 .config(RunConfig { metric_window: 500, reset_on_drift, ..Default::default() })
                 .run()
                 .unwrap()

@@ -1,12 +1,9 @@
 //! Open, string-keyed detector registry.
 //!
-//! The harness used to instantiate detectors through a closed `match` on
-//! [`DetectorKind`](crate::detectors::DetectorKind), which meant every new
-//! detector (or tuned variant of an existing one) required editing the
-//! harness itself. The registry inverts that: a detector is described by a
-//! serde-friendly [`DetectorSpec`] — a name plus parameters (numeric
-//! hyper-parameters or word-valued execution knobs) — and
-//! resolved against a [`DetectorRegistry`] of factories. Anything
+//! A detector is described by a serde-friendly [`DetectorSpec`] — a name
+//! plus parameters (numeric hyper-parameters or word-valued execution
+//! knobs) — and resolved against a [`DetectorRegistry`] of factories. This
+//! is the only way the workspace names and builds detectors: anything
 //! implementing `DriftDetector` can be registered under a new name without
 //! touching this crate, and tuned variants are one-liners:
 //!
@@ -45,8 +42,8 @@
 //! assert!(!registry.accepts_param("adwin", "seed"));
 //! ```
 //!
-//! [`DetectorKind`](crate::detectors::DetectorKind) survives as a thin
-//! compatibility shim whose `build` delegates here.
+//! The paper's Table III line-up is [`paper_detectors`]: six specs whose
+//! labels are the table's column headers.
 
 use rbm_im::network::RbmNetworkConfig;
 use rbm_im::{RbmIm, RbmImConfig};
@@ -265,6 +262,17 @@ impl DetectorSpec {
     fn key(&self) -> String {
         normalize_key(&self.name)
     }
+}
+
+/// The six detectors compared in Table III, in the paper's column order.
+/// Each spec's [`label`](DetectorSpec::label) is the table header
+/// (`WSTD`, `RDDM`, `FHDDM`, `PerfSim`, `DDM-OCI`, `RBM-IM`), and runs are
+/// matched to columns by that label.
+pub fn paper_detectors() -> Vec<DetectorSpec> {
+    ["WSTD", "RDDM", "FHDDM", "PerfSim", "DDM-OCI", "RBM-IM"]
+        .into_iter()
+        .map(DetectorSpec::new)
+        .collect()
 }
 
 fn normalize_key(name: &str) -> String {
@@ -533,7 +541,7 @@ impl DetectorRegistry {
     }
 
     /// The process-wide default registry ([`DetectorRegistry::with_defaults`],
-    /// built once). `DetectorKind::build` and the no-registry pipeline paths
+    /// built once). The experiment grid and the no-registry pipeline paths
     /// resolve against this.
     pub fn global() -> &'static DetectorRegistry {
         static GLOBAL: OnceLock<DetectorRegistry> = OnceLock::new();
@@ -618,6 +626,36 @@ mod tests {
                 let obs = Observation::new(&features, i % 3, (i + 1) % 3);
                 detector.update(&obs);
             }
+        }
+    }
+
+    #[test]
+    fn paper_detector_list_matches_table_two() {
+        let specs = paper_detectors();
+        let labels: Vec<String> = specs.iter().map(DetectorSpec::label).collect();
+        assert_eq!(labels, ["WSTD", "RDDM", "FHDDM", "PerfSim", "DDM-OCI", "RBM-IM"]);
+    }
+
+    #[test]
+    fn paper_detector_list_serde_round_trip() {
+        // Experiment configurations carry the line-up through serde.
+        let specs = paper_detectors();
+        let json = serde_json::to_string(&specs).unwrap();
+        let back: Vec<DetectorSpec> = serde_json::from_str(&json).unwrap();
+        assert_eq!(back, specs);
+    }
+
+    #[test]
+    fn paper_detectors_build_under_their_labels() {
+        let features = vec![0.1, 0.2, 0.3, 0.4];
+        for spec in paper_detectors() {
+            let mut detector = DetectorRegistry::global().build(&spec, 4, 3).unwrap();
+            assert_eq!(detector.name(), spec.label());
+            for i in 0..120usize {
+                let obs = Observation::new(&features, i % 3, (i + 1) % 3);
+                detector.update(&obs);
+            }
+            detector.reset();
         }
     }
 

@@ -327,7 +327,6 @@ impl<C: OnlineClassifier> PipelineStepper<C> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::detectors::DetectorKind;
     use rbm_im_streams::scenarios::{scenario1, ScenarioConfig};
     use rbm_im_streams::DataStream;
 
@@ -359,7 +358,7 @@ mod tests {
             let schema = stream.schema().clone();
             let mut stepper = PipelineStepper::from_spec(
                 DetectorRegistry::global(),
-                &DetectorKind::RbmIm.spec(),
+                &DetectorSpec::new("RBM-IM"),
                 &schema,
                 config,
             )
@@ -376,7 +375,7 @@ mod tests {
             stream.restart();
             let run = crate::pipeline::PipelineBuilder::new()
                 .stream(stream)
-                .detector_spec(DetectorKind::RbmIm.spec())
+                .detector_spec(DetectorSpec::new("RBM-IM"))
                 .config(config)
                 .run()
                 .unwrap();

@@ -173,26 +173,24 @@ impl NetServer {
     /// Starts a serving plane with the default detector registry and binds
     /// the wire front-end to `addr` (use `127.0.0.1:0` to let the OS pick
     /// a loopback port; the bound address is on the returned handle).
+    /// Adopts the `RBM_CHAOS` environment fault plane when armed.
     pub fn bind(addr: impl ToSocketAddrs, config: ServeConfig) -> std::io::Result<NetServerHandle> {
-        Self::bind_with_registry(addr, config, Arc::new(DetectorRegistry::with_defaults()))
+        Self::bind_with_faults(
+            addr,
+            config,
+            Arc::new(DetectorRegistry::with_defaults()),
+            rbm_im_serve::chaos::env_plane().cloned(),
+        )
     }
 
     /// [`NetServer::bind`] with a custom detector registry (attach specs
-    /// arriving over the wire resolve against it). Adopts the
-    /// `RBM_CHAOS` environment fault plane when armed.
-    pub fn bind_with_registry(
-        addr: impl ToSocketAddrs,
-        config: ServeConfig,
-        registry: Arc<DetectorRegistry>,
-    ) -> std::io::Result<NetServerHandle> {
-        Self::bind_with_faults(addr, config, registry, rbm_im_serve::chaos::env_plane().cloned())
-    }
-
-    /// [`NetServer::bind_with_registry`] with an explicit chaos
-    /// [`FaultPlane`] (or `None` for a clean run). The plane is shared
-    /// between the serving plane (kill-shard, hibernate, spill sites) and
-    /// this front-end's reply path (delay, truncate-mid-frame sites), so
-    /// one seed drives the whole stack's fault schedule.
+    /// arriving over the wire resolve against it) and an explicit chaos
+    /// [`FaultPlane`] — `rbm_im_serve::chaos::env_plane().cloned()` to
+    /// adopt the `RBM_CHAOS` environment gate, `None` for a clean run.
+    /// The plane is shared between the serving plane (kill-shard,
+    /// hibernate, spill sites) and this front-end's reply path (delay,
+    /// truncate-mid-frame sites), so one seed drives the whole stack's
+    /// fault schedule.
     pub fn bind_with_faults(
         addr: impl ToSocketAddrs,
         config: ServeConfig,

@@ -413,7 +413,7 @@ fn busy_reply_carries_the_rejected_count() {
         });
     }
     let capacity = 4;
-    let server = NetServer::bind_with_registry(
+    let server = NetServer::bind_with_faults(
         "127.0.0.1:0",
         ServeConfig {
             num_shards: 1,
@@ -422,6 +422,7 @@ fn busy_reply_carries_the_rejected_count() {
             ..Default::default()
         },
         Arc::new(registry),
+        rbm_im_serve::chaos::env_plane().cloned(),
     )
     .expect("bind");
     let addr = server.local_addr();

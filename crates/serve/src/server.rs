@@ -586,25 +586,26 @@ pub struct ServerHandle {
 }
 
 impl ServerHandle {
-    /// Starts a server with the default detector registry.
-    pub fn start(config: ServeConfig) -> Self {
-        Self::start_with_registry(config, Arc::new(DetectorRegistry::with_defaults()))
-    }
-
-    /// Starts a server resolving attach specs against a custom registry
-    /// (e.g. one with application-specific detectors registered). Adopts
-    /// the process-wide `RBM_CHAOS` environment fault plane when one is
+    /// Starts a server with the default detector registry. Adopts the
+    /// process-wide `RBM_CHAOS` environment fault plane when one is
     /// configured ([`chaos::env_plane`]).
-    pub fn start_with_registry(config: ServeConfig, registry: Arc<DetectorRegistry>) -> Self {
-        Self::start_with_faults(config, registry, chaos::env_plane().cloned())
+    pub fn start(config: ServeConfig) -> Self {
+        Self::start_with_faults(
+            config,
+            Arc::new(DetectorRegistry::with_defaults()),
+            chaos::env_plane().cloned(),
+        )
     }
 
-    /// Starts a server with an explicit fault-injection plane (or none,
-    /// overriding the `RBM_CHAOS` environment gate): every shard worker —
-    /// including workers spawned later by resizes and
-    /// [`ServerHandle::revive_shard`] — consults `faults` for its seeded
-    /// kill-shard and hibernate-storm decisions. The chaos suites build
-    /// their servers through this (`ARCHITECTURE.md` §10).
+    /// Starts a server resolving attach specs against `registry` (e.g. one
+    /// with application-specific detectors registered) under an explicit
+    /// fault-injection plane — `chaos::env_plane().cloned()` to adopt the
+    /// `RBM_CHAOS` environment gate like [`ServerHandle::start`], `None`
+    /// for a clean run. Every shard worker — including workers spawned
+    /// later by resizes and [`ServerHandle::revive_shard`] — consults
+    /// `faults` for its seeded kill-shard and hibernate-storm decisions.
+    /// The chaos suites build their servers through this
+    /// (`ARCHITECTURE.md` §10).
     pub fn start_with_faults(
         config: ServeConfig,
         registry: Arc<DetectorRegistry>,
@@ -900,21 +901,18 @@ impl ServerHandle {
     /// [`TierPolicy`](crate::config::TierPolicy) drives this; the manual
     /// entry point exists for explicit cold-start flows (attach a large
     /// fleet, hibernate the idle tail up front).
-    pub fn hibernate_stream(&self, stream_id: &str) -> Result<HibernateOutcome, ServeError> {
-        self.hibernate_with(stream_id, None)
-    }
-
-    /// [`ServerHandle::hibernate_stream`] with the freshest background
-    /// spill of the stream, as `(position, path)`: when the spill position
-    /// matches the stream's, the eviction is **clean** — the disk file
-    /// becomes the cold handle and no encode happens — and an already-cold
-    /// in-memory handle is demoted to the disk file. The supervisor's
-    /// tier pass drives this; it is public so external harnesses (the
-    /// chaos suites, model-based tests) can drive the full
+    ///
+    /// `spill` is the freshest background spill of the stream, as
+    /// `(position, path)`, if the caller knows one: when the spill
+    /// position matches the stream's, the eviction is **clean** — the
+    /// disk file becomes the cold handle and no encode happens — and an
+    /// already-cold in-memory handle is demoted to the disk file. The
+    /// supervisor's tier pass passes its spills; external harnesses (the
+    /// chaos suites, model-based tests) do the same to drive the full
     /// `Memory → Disk → rehydrate` lifecycle explicitly. Safe against
     /// stale spills: the shard adopts the disk file only when its
     /// position matches the stream's exactly.
-    pub fn hibernate_with(
+    pub fn hibernate_stream(
         &self,
         stream_id: &str,
         spill: Option<(u64, PathBuf)>,

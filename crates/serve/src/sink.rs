@@ -1,20 +1,16 @@
-//! Disk persistence for served streams: spill per-stream checkpoints (in
-//! either checkpoint codec) and prequential metric snapshots, and load
-//! them back for restart-from-disk.
+//! Disk persistence for served streams: spill per-stream checkpoints and
+//! prequential metric snapshots, and load them back for restart-from-disk.
 //!
 //! A [`SnapshotSink`] owns a directory. Two artifact kinds live in it:
 //!
-//! * `<stream>.checkpoint.bin` / `<stream>.checkpoint.json` — one
-//!   self-contained [`StreamCheckpoint`] per stream (schema, effective
-//!   spec, run config and complete pipeline state), overwritten on every
-//!   spill. The format follows the sink's
-//!   [`CheckpointCodec`]: the compact binary codec by default (sized for
-//!   frequent background spills — see
-//!   [`rbm_im_harness::checkpoint::codec`]), or JSON for debuggability.
-//!   Loading sniffs the format from the file contents, so a restarted
-//!   process reads spills from either codec regardless of its own
-//!   configuration. A restarted process loads these with
-//!   [`SnapshotSink::load_checkpoints`] and hands each to
+//! * `<stream>.checkpoint.bin` — one self-contained [`StreamCheckpoint`]
+//!   per stream (schema, effective spec, run config and complete pipeline
+//!   state) in the compact binary codec (sized for frequent background
+//!   spills — see [`rbm_im_harness::checkpoint::codec`]), overwritten on
+//!   every spill. Older releases could also spill JSON
+//!   (`<stream>.checkpoint.json`); loading sniffs the format from the file
+//!   contents, so those legacy spills still load. A restarted process
+//!   loads these with [`SnapshotSink::load_checkpoints`] and hands each to
 //!   [`ServerHandle::restore_stream`](crate::server::ServerHandle::restore_stream)
 //!   so the stream resumes bitwise-identically;
 //! * `<stream>.metrics.jsonl` — appended [`PrequentialSnapshot`] lines
@@ -131,7 +127,6 @@ impl SpillIo for OsSpillIo {
 #[derive(Debug)]
 pub struct SnapshotSink {
     dir: PathBuf,
-    codec: CheckpointCodec,
     retention: Option<MetricRetention>,
     spill_obs: Option<SpillObs>,
     /// The filesystem seam checkpoint writes/renames/reads go through
@@ -145,14 +140,7 @@ pub struct SnapshotSink {
 }
 
 impl SnapshotSink {
-    /// Opens (creating if needed) a sink over `dir` with the default
-    /// checkpoint codec ([`CheckpointCodec::Binary`]).
-    pub fn new(dir: impl Into<PathBuf>) -> io::Result<Self> {
-        Self::with_codec(dir, CheckpointCodec::default())
-    }
-
-    /// Opens (creating if needed) a sink over `dir` spilling checkpoints
-    /// with `codec`. Loading is codec-agnostic either way.
+    /// Opens (creating if needed) a sink over `dir`.
     ///
     /// Opening sweeps orphan `*.checkpoint.*.tmp` files out of the
     /// directory: a process that died between a spill's temp-file write
@@ -161,7 +149,7 @@ impl SnapshotSink {
     /// crash into permanent disk debris. The sweep is safe by
     /// construction — a `.tmp` is only ever the *incomplete* side of an
     /// atomic publish, never the authoritative checkpoint.
-    pub fn with_codec(dir: impl Into<PathBuf>, codec: CheckpointCodec) -> io::Result<Self> {
+    pub fn new(dir: impl Into<PathBuf>) -> io::Result<Self> {
         let dir = dir.into();
         fs::create_dir_all(&dir)?;
         for entry in fs::read_dir(&dir)? {
@@ -175,7 +163,6 @@ impl SnapshotSink {
         }
         Ok(SnapshotSink {
             dir,
-            codec,
             retention: None,
             spill_obs: None,
             io: Arc::new(OsSpillIo),
@@ -225,56 +212,35 @@ impl SnapshotSink {
         &self.dir
     }
 
-    /// The codec new spills are written with.
-    pub fn codec(&self) -> CheckpointCodec {
-        self.codec
-    }
-
-    /// Writes (atomically, via a temp file + rename) one stream's
+    /// Writes (atomically, via a temp file + rename) one stream's binary
     /// checkpoint, overwriting any previous checkpoint of the same stream
-    /// — in **either** codec, so switching codecs cannot leave a stale
-    /// duplicate behind. Returns the file path.
+    /// — a legacy JSON spill included, so it cannot linger as a stale
+    /// duplicate. Returns the file path.
     pub fn spill_checkpoint(&self, checkpoint: &StreamCheckpoint) -> io::Result<PathBuf> {
-        let path = self.checkpoint_path(&checkpoint.stream, self.codec);
+        let path = self.checkpoint_path(&checkpoint.stream, CheckpointCodec::Binary);
         // Encode into the sink's persistent scratch buffer: cleared (not
         // shrunk) per spill, so once it has grown to the fleet's largest
-        // checkpoint no further output allocations happen. JSON spills
-        // still build an intermediate string (the pretty-printer's
-        // contract); the default binary codec encodes straight into the
-        // scratch.
+        // checkpoint no further output allocations happen.
         let mut scratch = self.encode_scratch.lock().expect("encode scratch poisoned");
         scratch.clear();
         let encode_started = Instant::now();
-        match self.codec {
-            CheckpointCodec::Json => {
-                let text = serde_json::to_string_pretty(checkpoint)
-                    .map_err(|e| io::Error::new(io::ErrorKind::InvalidData, e.to_string()))?;
-                scratch.extend_from_slice(text.as_bytes());
-            }
-            CheckpointCodec::Binary => {
-                codec::encode_into(CheckpointCodec::Binary, checkpoint, &mut scratch);
-            }
-        }
+        codec::encode_into(CheckpointCodec::Binary, checkpoint, &mut scratch);
         if let Some(obs) = &self.spill_obs {
             obs.encode.record(encode_started.elapsed().as_nanos() as u64);
         }
         let write_started = Instant::now();
-        let tmp = path.with_extension(format!("{}.tmp", self.codec.extension()));
+        let tmp = path.with_extension("bin.tmp");
         self.io.write(&tmp, scratch.as_slice())?;
         self.io.rename(&tmp, &path)?;
         if let Some(obs) = &self.spill_obs {
             obs.write.record(write_started.elapsed().as_nanos() as u64);
         }
-        // Drop the other codec's spill of the same stream, if any — the
-        // freshly written file is now the stream's sole checkpoint. Best
-        // effort: the spill itself is already durable at this point, and a
-        // crash window between the rename and this removal is tolerated by
-        // the loaders (they deduplicate by stream id).
-        let other = match self.codec {
-            CheckpointCodec::Json => CheckpointCodec::Binary,
-            CheckpointCodec::Binary => CheckpointCodec::Json,
-        };
-        let _ = fs::remove_file(self.checkpoint_path(&checkpoint.stream, other));
+        // Drop a legacy JSON spill of the same stream, if any — the freshly
+        // written file is now the stream's sole checkpoint. Best effort:
+        // the spill itself is already durable at this point, and a crash
+        // window between the rename and this removal is tolerated by the
+        // loaders (they deduplicate by stream id).
+        let _ = fs::remove_file(self.checkpoint_path(&checkpoint.stream, CheckpointCodec::Json));
         Ok(path)
     }
 
@@ -284,16 +250,16 @@ impl SnapshotSink {
         checkpoints.iter().map(|c| self.spill_checkpoint(c)).collect()
     }
 
-    /// Loads every `*.checkpoint.bin` / `*.checkpoint.json` in the sink
-    /// directory, sorted by stream id — **one checkpoint per stream**: if
-    /// a crash between a spill's rename and its stale-file cleanup left
-    /// both codecs' files behind, the one capturing the *later* stream
-    /// position wins (ties go to the binary file), so a restart never
-    /// restores the same stream twice or from the staler of the two
-    /// states — whichever direction the codec switch went. The codec of
-    /// each file is sniffed from its contents. Files that fail to parse
-    /// (truncated spill, corrupt bytes, a future codec version) are
-    /// reported as errors naming the file, not skipped silently.
+    /// Loads every `*.checkpoint.bin` and legacy `*.checkpoint.json` in
+    /// the sink directory, sorted by stream id — **one checkpoint per
+    /// stream**: if a crash between a spill's rename and its stale-file
+    /// cleanup left both files behind, the one capturing the *later*
+    /// stream position wins (ties go to the binary file), so a restart
+    /// never restores the same stream twice or from the staler of the two
+    /// states. The codec of each file is sniffed from its contents. Files
+    /// that fail to parse (truncated spill, corrupt bytes, a future codec
+    /// version) are reported as errors naming the file, not skipped
+    /// silently.
     pub fn load_checkpoints(&self) -> io::Result<Vec<StreamCheckpoint>> {
         let mut by_stream: std::collections::HashMap<String, (bool, StreamCheckpoint)> =
             std::collections::HashMap::new();
@@ -325,8 +291,8 @@ impl SnapshotSink {
         Ok(checkpoints)
     }
 
-    /// Loads one stream's checkpoint, whichever codec it was spilled with
-    /// (duplicates from a crashed codec switch resolve exactly like
+    /// Loads one stream's checkpoint, binary or legacy JSON (duplicates
+    /// from a crashed spill resolve exactly like
     /// [`SnapshotSink::load_checkpoints`]: later position wins, ties to
     /// binary). Returns `Ok(None)` if the stream has no spill.
     pub fn load_checkpoint(&self, stream: &str) -> io::Result<Option<StreamCheckpoint>> {
@@ -541,8 +507,8 @@ impl SnapshotSink {
 
 /// Of two spills for the same stream (possible only in the crash window
 /// between a spill's rename and its stale-file cleanup), the fresher one
-/// is the one capturing the later stream position — the direction of the
-/// codec switch says nothing about recency. Ties go to the binary file.
+/// is the one capturing the later stream position — which file format
+/// holds it says nothing about recency. Ties go to the binary file.
 fn fresher(a: (bool, StreamCheckpoint), b: (bool, StreamCheckpoint)) -> (bool, StreamCheckpoint) {
     let position_a = a.1.checkpoint.processed().unwrap_or(0);
     let position_b = b.1.checkpoint.processed().unwrap_or(0);

@@ -656,7 +656,7 @@ fn demote(
     let checkpoint = server.checkpoint_stream(id).map_err(SpillError::Serve)?;
     let position = checkpoint.checkpoint.processed().unwrap_or(0);
     let path = sink.spill_checkpoint(&checkpoint).map_err(SpillError::Io)?;
-    let outcome = server.hibernate_with(id, Some((position, path))).map_err(SpillError::Serve)?;
+    let outcome = server.hibernate_stream(id, Some((position, path))).map_err(SpillError::Serve)?;
     Ok((outcome, position))
 }
 

@@ -313,7 +313,7 @@ fn seeded_soak_zero_loss_across_kill_restart_spill_and_storm() {
                     for _ in 0..streams {
                         let id = &feeds[storm_cursor % NUM_STREAMS].id;
                         storm_cursor += 1;
-                        server.hibernate_stream(id).unwrap();
+                        server.hibernate_stream(id, None).unwrap();
                         storm_evictions += 1;
                     }
                 }
@@ -664,6 +664,11 @@ fn supervisor_races_stay_bitwise_under_injected_faults() {
     ));
     let sink =
         SnapshotSink::new(&dir).unwrap().with_io(Arc::new(ChaosSpillIo::new(Arc::clone(&plane))));
+    // How many spills and ingests happen depends on timing, so the rates
+    // alone can draw no fault; one armed burst per site makes the
+    // "noise must have fired" preconditions below certain.
+    plane.arm(FaultSite::SpillEnospc, 1);
+    plane.arm(FaultSite::Hibernate, 1);
     let supervisor = Supervisor::start(
         Arc::clone(&server),
         sink,

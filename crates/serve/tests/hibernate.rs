@@ -168,13 +168,13 @@ fn manual_hibernate_cold_checkpoint_and_detach_lifecycle() {
 
     // Unknown ids fail loudly, like every other control operation.
     assert!(matches!(
-        server.hibernate_stream("nope"),
+        server.hibernate_stream("nope", None),
         Err(ServeError::UnknownStream(id)) if id == "nope"
     ));
 
     // Dirty eviction: no spill offered, so the shard encodes on demand.
     let cold_id = &feeds[0].id;
-    match server.hibernate_stream(cold_id).unwrap() {
+    match server.hibernate_stream(cold_id, None).unwrap() {
         HibernateOutcome::Hibernated { position, clean } => {
             assert_eq!(position, 600);
             assert!(!clean, "no background spill exists, the eviction must encode");
@@ -211,7 +211,7 @@ fn manual_hibernate_cold_checkpoint_and_detach_lifecycle() {
 
     // Idempotent: hibernating a cold stream changes nothing.
     assert_eq!(
-        server.hibernate_stream(cold_id).unwrap(),
+        server.hibernate_stream(cold_id, None).unwrap(),
         HibernateOutcome::AlreadyCold { position: 600 }
     );
 
@@ -269,8 +269,10 @@ fn rehydrate_on_ingest_thrash_is_bitwise_identical() {
     for chunk in feed.instances.chunks(250) {
         ingest_all(&client, chunk.to_vec());
         server.drain();
-        if matches!(server.hibernate_stream(&feed.id).unwrap(), HibernateOutcome::Hibernated { .. })
-        {
+        if matches!(
+            server.hibernate_stream(&feed.id, None).unwrap(),
+            HibernateOutcome::Hibernated { .. }
+        ) {
             evictions += 1;
         }
     }
@@ -329,7 +331,7 @@ fn supervisor_budget_policy_bounds_the_hot_tier_bitwise() {
     // supervisor starts: its only path to disk is the tier pass's
     // demotion.
     assert!(matches!(
-        server.hibernate_stream(&feeds[5].id).unwrap(),
+        server.hibernate_stream(&feeds[5].id, None).unwrap(),
         HibernateOutcome::Hibernated { clean: false, .. }
     ));
     // Subscribed after the manual (dirty) eviction: every Hibernated
@@ -589,8 +591,8 @@ enum LifecycleOp {
     Ingest,
     /// Dirty eviction: `hibernate_stream` with no spill to reuse.
     Hibernate,
-    /// Clean demotion: spill a fresh checkpoint, then `hibernate_with`
-    /// the `(position, path)` pair so the disk file becomes authoritative
+    /// Clean demotion: spill a fresh checkpoint, then `hibernate_stream`
+    /// with the `(position, path)` pair so the disk file becomes authoritative
     /// (`Memory → Disk` leg of the lifecycle).
     DemoteViaSpill,
     /// Non-destructive checkpoint; must not change the stream's tier.
@@ -658,7 +660,7 @@ proptest! {
                 }
                 LifecycleOp::Hibernate => {
                     server.drain();
-                    match server.hibernate_stream(&feed.id).unwrap() {
+                    match server.hibernate_stream(&feed.id, None).unwrap() {
                         HibernateOutcome::Hibernated { position, clean } => {
                             prop_assert!(!cold, "model said cold, server evicted");
                             prop_assert_eq!(position, cursor as u64);
@@ -682,7 +684,7 @@ proptest! {
                         cursor as u64
                     );
                     let path = sink.spill_checkpoint(&checkpoint).unwrap();
-                    server.hibernate_with(&feed.id, Some((cursor as u64, path))).unwrap();
+                    server.hibernate_stream(&feed.id, Some((cursor as u64, path))).unwrap();
                     let scan = server.tier_scan();
                     let row = scan.iter().find(|e| e.id.as_ref() == feed.id).unwrap();
                     prop_assert_eq!(row.tier, TierKind::ColdDisk);

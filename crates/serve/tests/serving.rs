@@ -328,7 +328,7 @@ fn try_ingest_reports_backpressure_on_a_full_queue() {
         });
     }
     let capacity = 4;
-    let server = ServerHandle::start_with_registry(
+    let server = ServerHandle::start_with_faults(
         ServeConfig {
             num_shards: 1,
             queue_capacity: capacity,
@@ -336,6 +336,7 @@ fn try_ingest_reports_backpressure_on_a_full_queue() {
             ..Default::default()
         },
         Arc::new(registry),
+        rbm_im_serve::chaos::env_plane().cloned(),
     );
     let schema = StreamSchema::new("gated", 2, 2);
     let client = server.attach("gated", schema, &DetectorSpec::new("gate")).unwrap();

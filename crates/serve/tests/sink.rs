@@ -1,13 +1,14 @@
-//! `SnapshotSink` durability contract: codec equivalence and error paths.
+//! `SnapshotSink` durability contract: binary spills, legacy JSON loads,
+//! and error paths.
 //!
 //! Background spills are only worth having if a warm restart can trust
 //! them, so every failure mode must surface as a clean error naming the
 //! offending file: truncated spills, corrupt bytes, future codec
-//! versions, unwritable directories. And the two codecs must be perfectly
-//! interchangeable — a checkpoint spilled as JSON and one spilled as
-//! binary restore the *same* pipeline.
+//! versions, unwritable directories. The sink always writes the binary
+//! codec, but a `*.checkpoint.json` spilled by an older release must
+//! still load and restore the *same* pipeline.
 
-use rbm_im_harness::checkpoint::codec::{CheckpointCodec, BINARY_MAGIC};
+use rbm_im_harness::checkpoint::codec::BINARY_MAGIC;
 use rbm_im_harness::checkpoint::PipelineCheckpoint;
 use rbm_im_harness::pipeline::{PipelineEvent, RunConfig};
 use rbm_im_harness::registry::{DetectorRegistry, DetectorSpec};
@@ -53,6 +54,15 @@ fn sample_checkpoint_at(stream: &str, instances: usize) -> StreamCheckpoint {
     }
 }
 
+/// Writes `checkpoint` into `dir` the way older releases spilled JSON: a
+/// pretty-printed `<stream>.checkpoint.json`. Returns the file path.
+fn write_legacy_json_spill(dir: &Path, checkpoint: &StreamCheckpoint) -> PathBuf {
+    fs::create_dir_all(dir).unwrap();
+    let path = dir.join(format!("{}.checkpoint.json", checkpoint.stream));
+    fs::write(&path, serde_json::to_string_pretty(checkpoint).unwrap()).unwrap();
+    path
+}
+
 fn checkpoint_file(dir: &Path, suffix: &str) -> PathBuf {
     fs::read_dir(dir)
         .unwrap()
@@ -67,13 +77,11 @@ fn json_and_binary_spills_restore_the_same_checkpoint() {
     let checkpoint = sample_checkpoint("feed-a");
 
     let json_dir = scratch("json");
-    let json_sink = SnapshotSink::with_codec(&json_dir, CheckpointCodec::Json).unwrap();
-    let json_path = json_sink.spill_checkpoint(&checkpoint).unwrap();
-    assert!(json_path.to_string_lossy().ends_with(".checkpoint.json"));
+    let json_path = write_legacy_json_spill(&json_dir, &checkpoint);
+    let json_sink = SnapshotSink::new(&json_dir).unwrap();
 
     let bin_dir = scratch("bin");
-    let bin_sink = SnapshotSink::with_codec(&bin_dir, CheckpointCodec::Binary).unwrap();
-    assert_eq!(bin_sink.codec(), CheckpointCodec::Binary);
+    let bin_sink = SnapshotSink::new(&bin_dir).unwrap();
     let bin_path = bin_sink.spill_checkpoint(&checkpoint).unwrap();
     assert!(bin_path.to_string_lossy().ends_with(".checkpoint.bin"));
 
@@ -89,11 +97,12 @@ fn json_and_binary_spills_restore_the_same_checkpoint() {
         json_bytes.len()
     );
 
-    // Loading is codec-agnostic and the payloads are identical.
+    // Loading sniffs the format and the payloads are identical.
     let from_json = json_sink.load_checkpoints().unwrap();
     let from_bin = bin_sink.load_checkpoints().unwrap();
     assert_eq!(from_json, from_bin);
     assert_eq!(from_bin[0], checkpoint);
+    assert_eq!(json_sink.load_checkpoint("feed-a").unwrap().unwrap(), checkpoint);
     assert_eq!(bin_sink.load_checkpoint("feed-a").unwrap().unwrap(), checkpoint);
     assert!(bin_sink.load_checkpoint("missing").unwrap().is_none());
 
@@ -105,18 +114,13 @@ fn json_and_binary_spills_restore_the_same_checkpoint() {
 fn switching_codecs_replaces_the_old_spill_atomically() {
     let dir = scratch("switch");
     let checkpoint = sample_checkpoint("feed-b");
-    SnapshotSink::with_codec(&dir, CheckpointCodec::Json)
-        .unwrap()
-        .spill_checkpoint(&checkpoint)
-        .unwrap();
-    // Re-spill the same stream with the binary codec: the JSON file must
-    // be gone, or a later load would see a stale duplicate.
-    SnapshotSink::with_codec(&dir, CheckpointCodec::Binary)
-        .unwrap()
-        .spill_checkpoint(&checkpoint)
-        .unwrap();
+    write_legacy_json_spill(&dir, &checkpoint);
+    // Re-spill the same stream: the legacy JSON file must be gone, or a
+    // later load would see a stale duplicate.
+    SnapshotSink::new(&dir).unwrap().spill_checkpoint(&checkpoint).unwrap();
+    assert!(!dir.join("feed-b.checkpoint.json").exists(), "legacy spill must be removed");
     let loaded = SnapshotSink::new(&dir).unwrap().load_checkpoints().unwrap();
-    assert_eq!(loaded.len(), 1, "stale other-codec spill must have been replaced");
+    assert_eq!(loaded.len(), 1, "stale legacy spill must have been replaced");
     assert_eq!(loaded[0], checkpoint);
     // No leftover temp files from the atomic write protocol.
     for entry in fs::read_dir(&dir).unwrap() {
@@ -129,40 +133,33 @@ fn switching_codecs_replaces_the_old_spill_atomically() {
 #[test]
 fn crash_window_duplicate_spills_dedupe_by_freshest_position() {
     // Simulate a crash between a spill's rename and its stale-file
-    // cleanup: both codecs' files exist for one stream. Loading must
-    // return exactly one checkpoint per stream — the one capturing the
-    // later position, whichever direction the codec switch went — so a
-    // cold restart never restores a stream twice or from stale state.
+    // cleanup: a binary and a legacy JSON file exist for one stream.
+    // Loading must return exactly one checkpoint per stream — the one
+    // capturing the later position, whichever file holds it — so a cold
+    // restart never restores a stream twice or from stale state.
     let dir = scratch("crash-window");
     let older = sample_checkpoint_at("feed-f", 300);
     let fresh = sample_checkpoint_at("feed-f", 500);
 
-    // Json -> Binary switch: stale JSON (older position) resurrected
-    // beside the fresh binary spill.
-    let json_sink = SnapshotSink::with_codec(&dir, CheckpointCodec::Json).unwrap();
-    let json_path = json_sink.spill_checkpoint(&older).unwrap();
-    let stale_bytes = fs::read(&json_path).unwrap();
-    let bin_sink = SnapshotSink::with_codec(&dir, CheckpointCodec::Binary).unwrap();
-    bin_sink.spill_checkpoint(&fresh).unwrap();
-    fs::write(&json_path, &stale_bytes).unwrap();
-    let loaded = bin_sink.load_checkpoints().unwrap();
+    // Stale legacy JSON (older position) beside the fresh binary spill.
+    let sink = SnapshotSink::new(&dir).unwrap();
+    sink.spill_checkpoint(&fresh).unwrap();
+    write_legacy_json_spill(&dir, &older);
+    let loaded = sink.load_checkpoints().unwrap();
     assert_eq!(loaded.len(), 1, "one checkpoint per stream, not one per file");
     assert_eq!(loaded[0], fresh, "the later-position spill must win");
-    assert_eq!(bin_sink.load_checkpoint("feed-f").unwrap().unwrap(), fresh);
+    assert_eq!(sink.load_checkpoint("feed-f").unwrap().unwrap(), fresh);
 
-    // Binary -> Json switch: stale binary (older position) resurrected
-    // beside the fresh JSON spill — the JSON one must win now.
+    // Stale binary (older position) beside a fresher legacy JSON spill —
+    // the JSON one must win now.
     let dir2 = scratch("crash-window-reverse");
-    let bin_sink = SnapshotSink::with_codec(&dir2, CheckpointCodec::Binary).unwrap();
-    let bin_path = bin_sink.spill_checkpoint(&older).unwrap();
-    let stale_bytes = fs::read(&bin_path).unwrap();
-    let json_sink = SnapshotSink::with_codec(&dir2, CheckpointCodec::Json).unwrap();
-    json_sink.spill_checkpoint(&fresh).unwrap();
-    fs::write(&bin_path, &stale_bytes).unwrap();
-    let loaded = json_sink.load_checkpoints().unwrap();
+    let sink = SnapshotSink::new(&dir2).unwrap();
+    sink.spill_checkpoint(&older).unwrap();
+    write_legacy_json_spill(&dir2, &fresh);
+    let loaded = sink.load_checkpoints().unwrap();
     assert_eq!(loaded.len(), 1);
     assert_eq!(loaded[0], fresh, "freshness must beat the binary preference");
-    assert_eq!(json_sink.load_checkpoint("feed-f").unwrap().unwrap(), fresh);
+    assert_eq!(sink.load_checkpoint("feed-f").unwrap().unwrap(), fresh);
 
     let _ = fs::remove_dir_all(dir);
     let _ = fs::remove_dir_all(dir2);
@@ -172,18 +169,19 @@ fn crash_window_duplicate_spills_dedupe_by_freshest_position() {
 fn opening_a_sink_sweeps_orphan_tmp_files() {
     // A crash (or injected ENOSPC) between the atomic-write protocol's
     // temp write and its rename leaves a `*.checkpoint.<ext>.tmp` orphan
-    // behind. The next sink opened on the directory must sweep those so
-    // debris never accumulates — while leaving real checkpoints and
-    // unrelated files alone.
+    // behind (`.json.tmp` from a release that still spilled JSON). The
+    // next sink opened on the directory must sweep those so debris never
+    // accumulates — while leaving real checkpoints and unrelated files
+    // alone.
     let dir = scratch("tmp-sweep");
-    let sink = SnapshotSink::with_codec(&dir, CheckpointCodec::Binary).unwrap();
+    let sink = SnapshotSink::new(&dir).unwrap();
     let checkpoint = sample_checkpoint("feed-g");
     sink.spill_checkpoint(&checkpoint).unwrap();
     fs::write(dir.join("feed-g.checkpoint.bin.tmp"), b"half-written").unwrap();
     fs::write(dir.join("other.checkpoint.json.tmp"), b"half-written").unwrap();
     fs::write(dir.join("notes.tmp"), b"not checkpoint debris").unwrap();
 
-    let reopened = SnapshotSink::with_codec(&dir, CheckpointCodec::Binary).unwrap();
+    let reopened = SnapshotSink::new(&dir).unwrap();
     assert!(!dir.join("feed-g.checkpoint.bin.tmp").exists(), "orphan binary tmp must be swept");
     assert!(!dir.join("other.checkpoint.json.tmp").exists(), "orphan json tmp must be swept");
     assert!(dir.join("notes.tmp").exists(), "non-checkpoint tmp files are not ours to delete");
@@ -221,11 +219,15 @@ fn unwritable_directory_is_a_clean_error() {
 
 #[test]
 fn truncated_and_corrupt_spills_error_at_load() {
-    for codec in [CheckpointCodec::Binary, CheckpointCodec::Json] {
-        let dir = scratch(&format!("corrupt-{codec}"));
-        let sink = SnapshotSink::with_codec(&dir, codec).unwrap();
-        sink.spill_checkpoint(&sample_checkpoint("feed-d")).unwrap();
-        let path = checkpoint_file(&dir, &format!(".checkpoint.{}", codec.extension()));
+    for extension in ["bin", "json"] {
+        let dir = scratch(&format!("corrupt-{extension}"));
+        let sink = SnapshotSink::new(&dir).unwrap();
+        if extension == "bin" {
+            sink.spill_checkpoint(&sample_checkpoint("feed-d")).unwrap();
+        } else {
+            write_legacy_json_spill(&dir, &sample_checkpoint("feed-d"));
+        }
+        let path = checkpoint_file(&dir, &format!(".checkpoint.{extension}"));
 
         // Truncate to half: load must fail and name the file.
         let bytes = fs::read(&path).unwrap();
@@ -245,7 +247,7 @@ fn truncated_and_corrupt_spills_error_at_load() {
 #[test]
 fn future_codec_version_is_a_clean_error() {
     let dir = scratch("version");
-    let sink = SnapshotSink::with_codec(&dir, CheckpointCodec::Binary).unwrap();
+    let sink = SnapshotSink::new(&dir).unwrap();
     sink.spill_checkpoint(&sample_checkpoint("feed-e")).unwrap();
     let path = checkpoint_file(&dir, ".checkpoint.bin");
     let mut bytes = fs::read(&path).unwrap();

@@ -430,7 +430,7 @@ fn main() {
                     for _ in 0..streams {
                         let i = live[storm_cursor % live.len()];
                         storm_cursor += 1;
-                        server.hibernate_stream(&feeds[i].id).unwrap();
+                        server.hibernate_stream(&feeds[i].id, None).unwrap();
                         storm_evictions += 1;
                     }
                     println!("  [{cursor:>8}] hibernate storm: {streams} forced evictions");

@@ -8,8 +8,8 @@
 //!
 //! Run with: `cargo run -p rbm-im-harness --release --example evolving_minority_fraud`
 
-use rbm_im_harness::detectors::DetectorKind;
 use rbm_im_harness::pipeline::{run_grid, GridStream, RunConfig};
+use rbm_im_harness::registry::paper_detectors;
 use rbm_im_streams::drift::DriftKind;
 use rbm_im_streams::scenarios::{scenario2, scenario3, ScenarioConfig};
 
@@ -24,7 +24,7 @@ fn main() {
         seed: 99,
     };
     let run_config = RunConfig { metric_window: 1000, ..Default::default() };
-    let detectors: Vec<_> = DetectorKind::paper_detectors().iter().map(|d| d.spec()).collect();
+    let detectors = paper_detectors();
 
     // Both scenario streams in one parallel grid: 6 detectors x 2 streams.
     let scenario2_config = config.clone();

@@ -11,8 +11,8 @@
 //!
 //! Run with: `cargo run -p rbm-im-harness --release --example intrusion_detection`
 
-use rbm_im_harness::detectors::DetectorKind;
 use rbm_im_harness::pipeline::{run_grid, GridStream, RunConfig};
+use rbm_im_harness::registry::DetectorSpec;
 use rbm_im_streams::drift::local::{LocalDriftEvent, LocalDriftStream};
 use rbm_im_streams::drift::DriftKind;
 use rbm_im_streams::generators::GaussianMixtureGenerator;
@@ -55,10 +55,7 @@ fn main() {
     // One parallel grid: three detectors, one stream. Every cell rebuilds
     // the identical deterministic stream, so the comparison is fair and the
     // run exploits all cores.
-    let detectors: Vec<_> = [DetectorKind::RbmIm, DetectorKind::DdmOci, DetectorKind::Fhddm]
-        .iter()
-        .map(|d| d.spec())
-        .collect();
+    let detectors = ["RBM-IM", "DDM-OCI", "FHDDM"].map(DetectorSpec::new);
     let streams = vec![GridStream::new("intrusion", move || Box::new(build_stream(2024, length)))];
     let results = run_grid(&detectors, &streams, &run_config).expect("grid resolves");
     for result in &results {

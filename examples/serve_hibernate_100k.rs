@@ -195,7 +195,7 @@ fn main() {
         // Explicitly hibernate the wave; streams the supervisor's budget
         // pass evicted first come back `AlreadyCold`, which is fine.
         for client in &clients {
-            server.hibernate_stream(client.id()).expect("hibernate warmed stream");
+            server.hibernate_stream(client.id(), None).expect("hibernate warmed stream");
         }
         wave_start = wave_end;
         if wave_start.is_multiple_of(WAVE * 32) || wave_start == n {

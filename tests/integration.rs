@@ -5,11 +5,11 @@
 
 use rbm_im::RbmIm;
 use rbm_im_detectors::DriftDetector;
-use rbm_im_harness::detectors::DetectorKind;
 use rbm_im_harness::experiment1::{run_experiment1, BuildConfigSerde, Experiment1Config};
 use rbm_im_harness::experiment2::{run_experiment2, Experiment2Config};
 use rbm_im_harness::experiment3::{run_experiment3, Experiment3Config};
 use rbm_im_harness::pipeline::{PipelineBuilder, RunConfig};
+use rbm_im_harness::registry::{paper_detectors, DetectorRegistry, DetectorSpec};
 use rbm_im_harness::report::{format_fig8, format_fig9, format_table3};
 use rbm_im_metrics::evaluate_detections;
 use rbm_im_streams::drift::DriftKind;
@@ -25,14 +25,14 @@ fn registry_streams_feed_the_full_pipeline() {
     let run = RunConfig { metric_window: 500, max_instances: Some(2_000), ..Default::default() };
     for name in ["Electricity", "RBF5"] {
         let spec = benchmark_by_name(name).unwrap();
-        for detector in [DetectorKind::RbmIm, DetectorKind::PerfSim] {
+        for detector in ["RBM-IM", "PerfSim"] {
             let result = PipelineBuilder::new()
                 .boxed_stream(spec.build(&build))
-                .detector_spec(detector.spec())
+                .detector_spec(DetectorSpec::new(detector))
                 .config(run)
                 .run()
                 .unwrap();
-            assert!(result.instances > 0, "{name}/{detector:?} processed nothing");
+            assert!(result.instances > 0, "{name}/{detector} processed nothing");
             assert!(result.pm_auc.is_finite());
             assert!(result.pm_gmean.is_finite());
         }
@@ -54,7 +54,7 @@ fn every_benchmark_in_the_registry_builds_and_emits() {
 #[test]
 fn experiment1_pipeline_produces_table_and_ranks() {
     let config = Experiment1Config {
-        detectors: vec![DetectorKind::Fhddm, DetectorKind::DdmOci, DetectorKind::RbmIm],
+        detectors: ["FHDDM", "DDM-OCI", "RBM-IM"].map(DetectorSpec::new).to_vec(),
         build: BuildConfigSerde {
             seed: 5,
             scale_divisor: 500,
@@ -70,14 +70,14 @@ fn experiment1_pipeline_produces_table_and_ranks() {
     assert!(table.contains("RBM-IM") && table.contains("Poker"));
     let friedman = result.friedman_pm_auc().unwrap();
     assert_eq!(friedman.average_ranks.len(), 3);
-    let bayes = result.bayesian_vs(DetectorKind::DdmOci, 1.0, 2_000, 1).unwrap();
+    let bayes = result.bayesian_vs("DDM-OCI", 1.0, 2_000, 1).unwrap();
     assert!((bayes.p_left + bayes.p_rope + bayes.p_right - 1.0).abs() < 1e-9);
 }
 
 #[test]
 fn experiment2_and_3_pipelines_produce_series() {
     let e2 = Experiment2Config {
-        detectors: vec![DetectorKind::RbmIm, DetectorKind::Rddm],
+        detectors: vec![DetectorSpec::new("RBM-IM"), DetectorSpec::new("RDDM")],
         num_features: 8,
         num_classes: 4,
         length: 3_000,
@@ -92,7 +92,7 @@ fn experiment2_and_3_pipelines_produce_series() {
     assert!(format_fig8(&r2).contains("classes drift"));
 
     let e3 = Experiment3Config {
-        detectors: vec![DetectorKind::RbmIm, DetectorKind::Rddm],
+        detectors: vec![DetectorSpec::new("RBM-IM"), DetectorSpec::new("RDDM")],
         num_features: 8,
         num_classes: 4,
         length: 3_000,
@@ -155,13 +155,13 @@ fn skew_insensitive_detectors_outrank_standard_ones_on_imbalanced_drift() {
     let run = RunConfig { metric_window: 800, ..Default::default() };
     let rbm = PipelineBuilder::new()
         .boxed_stream(scenario3(&config, 2).stream)
-        .detector_spec(DetectorKind::RbmIm.spec())
+        .detector_spec(DetectorSpec::new("RBM-IM"))
         .config(run)
         .run()
         .unwrap();
     let standard = PipelineBuilder::new()
         .boxed_stream(scenario3(&config, 2).stream)
-        .detector_spec(DetectorKind::Fhddm.spec())
+        .detector_spec(DetectorSpec::new("FHDDM"))
         .config(run)
         .run()
         .unwrap();
@@ -187,12 +187,13 @@ fn boxed_detectors_share_one_interface() {
         BuildConfig { scale_divisor: 1_000, seed: 2, n_drifts: 1, dynamic_imbalance: false };
     let mut stream = spec.build(&build);
     let instances = stream.take_instances(600);
-    for kind in DetectorKind::paper_detectors() {
-        let mut detector = kind.build(spec.features, spec.classes);
+    for detector_spec in paper_detectors() {
+        let mut detector =
+            DetectorRegistry::global().build(&detector_spec, spec.features, spec.classes).unwrap();
         for inst in &instances {
             let obs = rbm_im_detectors::Observation::new(&inst.features, inst.class, inst.class);
             detector.update(&obs);
         }
-        assert_eq!(detector.name(), kind.name());
+        assert_eq!(detector.name(), detector_spec.label());
     }
 }
